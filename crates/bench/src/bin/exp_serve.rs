@@ -5,10 +5,13 @@
 //! over a keep-alive connection, waits for the full response, repeats)
 //! for a fixed window per configuration. Sweeps worker thread counts at a
 //! fixed admission cap, then admission caps at a fixed thread count, and
-//! reports throughput, p50/p99 latency, and the shed rate for each
-//! combination. Every response body is checked against the expected
-//! prefix from the shared JSON encoder, so correctness rides along with
-//! the numbers. Raw results go to `BENCH_serve.json` at the repo root.
+//! reports throughput, p50/p99/max latency, requests per client, and the
+//! shed rate for each combination. Per-client counts and the maximum show
+//! starvation that a pooled percentile hides: a client that waits the
+//! whole window contributes one sample or none. Every response body is
+//! checked against the expected prefix from the shared JSON encoder, so
+//! correctness rides along with the numbers. Raw results go to
+//! `BENCH_serve.json` at the repo root.
 //!
 //! Usage: `cargo run -p dtucker-bench --release --bin exp_serve --
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--dataset NAME]
@@ -27,10 +30,23 @@ struct Measurement {
     max_inflight: usize,
     clients: usize,
     requests: u64,
+    per_client: Vec<u64>,
     shed: u64,
     throughput_rps: f64,
     p50: Duration,
     p99: Duration,
+    max: Duration,
+}
+
+impl Measurement {
+    /// Requests answered per client, joined by `sep`.
+    fn per_client(&self, sep: &str) -> String {
+        self.per_client
+            .iter()
+            .map(|n| n.to_string())
+            .collect::<Vec<_>>()
+            .join(sep)
+    }
 }
 
 /// Reads one HTTP response frame (headers + Content-Length body) off a
@@ -149,9 +165,11 @@ fn run_combo(
         })
         .collect();
     let mut latencies = Vec::new();
+    let mut per_client = Vec::with_capacity(clients);
     let mut shed = 0u64;
     for w in workers {
         let (l, s) = w.join().expect("client thread");
+        per_client.push(l.len() as u64);
         latencies.extend(l);
         shed += s;
     }
@@ -165,10 +183,12 @@ fn run_combo(
         max_inflight,
         clients,
         requests: latencies.len() as u64,
+        per_client,
         shed: shed.max(stats.shed),
         throughput_rps: latencies.len() as f64 / elapsed.as_secs_f64(),
         p50: percentile(&latencies, 0.50),
         p99: percentile(&latencies, 0.99),
+        max: latencies.last().copied().unwrap_or_default(),
     }
 }
 
@@ -184,7 +204,7 @@ fn main() {
     let duration_ms: u64 = args.get_or(
         "duration-ms",
         if matches!(scale, Scale::Ci) {
-            250
+            1000
         } else {
             2000
         },
@@ -243,6 +263,8 @@ fn main() {
         "rps",
         "p50_ms",
         "p99_ms",
+        "max_ms",
+        "per_client",
         "shed",
         "shed_rate",
     ])
@@ -257,6 +279,8 @@ fn main() {
             format!("{:.0}", m.throughput_rps),
             format!("{:.3}", m.p50.as_secs_f64() * 1e3),
             format!("{:.3}", m.p99.as_secs_f64() * 1e3),
+            format!("{:.3}", m.max.as_secs_f64() * 1e3),
+            m.per_client("/"),
             m.shed.to_string(),
             format!("{:.4}", m.shed as f64 / (m.requests + m.shed).max(1) as f64),
         ]);
@@ -277,8 +301,9 @@ fn main() {
     );
     println!("\nWrote {json_path}");
     println!("Expected shape: throughput flat or rising with threads (on multi-core");
-    println!("hardware), p99 bounded by the read/write timeouts, and the inflight=1");
-    println!("column shedding instead of queueing without bound.");
+    println!("hardware), every admitted client served about equally at every thread");
+    println!("count, and the inflight=1 row (3 open connections for 4 clients)");
+    println!("shedding the client it cannot admit instead of queueing without bound.");
 
     // The serving claims this experiment pins: the server answers under
     // load, and a tight admission cap sheds rather than stalls.
@@ -322,15 +347,17 @@ fn write_json(
     for (i, m) in runs.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"threads\": {}, \"max_inflight\": {}, \"clients\": {}, \"requests\": {}, \
-             \"throughput_rps\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-             \"shed\": {}, \"shed_rate\": {:.4}}}{}\n",
+             \"per_client_requests\": [{}], \"throughput_rps\": {:.1}, \"p50_ms\": {:.4}, \
+             \"p99_ms\": {:.4}, \"max_ms\": {:.4}, \"shed\": {}, \"shed_rate\": {:.4}}}{}\n",
             m.threads,
             m.max_inflight,
             m.clients,
             m.requests,
+            m.per_client(", "),
             m.throughput_rps,
             m.p50.as_secs_f64() * 1e3,
             m.p99.as_secs_f64() * 1e3,
+            m.max.as_secs_f64() * 1e3,
             m.shed,
             m.shed as f64 / (m.requests + m.shed).max(1) as f64,
             if i + 1 == runs.len() { "" } else { "," }

@@ -99,8 +99,8 @@ pub enum ParseError {
     /// Peer closed the connection before sending any byte of a request —
     /// the normal end of a keep-alive connection, not an error.
     Closed,
-    /// The socket's read timeout elapsed mid-request (slowloris or an
-    /// idle keep-alive connection).
+    /// The socket's read timeout or the request deadline elapsed
+    /// mid-request (slowloris).
     Timeout,
     /// Transport failure.
     Io(io::Error),
@@ -151,6 +151,12 @@ impl ConnReader {
             pos: 0,
             len: 0,
         }
+    }
+
+    /// Whether bytes of a pipelined request already sit in the buffer.
+    /// A socket `peek` cannot see them: they have left the kernel.
+    pub(crate) fn has_buffered(&self) -> bool {
+        self.pos < self.len
     }
 
     /// Deadline checks only happen when the buffer is empty and a fresh

@@ -18,10 +18,13 @@
 //! 2. **Hostile input cannot take the server down.** Every request
 //!    dimension is capped ([`http::Limits`]), stalls hit socket
 //!    timeouts, and nothing in the crate panics on bad input.
-//! 3. **Overload sheds, it does not queue.** Admission is a bounded
-//!    queue; past capacity the acceptor answers `503` + `Retry-After`
-//!    at the door.
-//! 4. **One JSON encoder.** Server responses and
+//! 3. **Overload sheds, it does not queue.** Admission is capped by open
+//!    connections; past the cap the acceptor answers `503` +
+//!    `Retry-After` at the door.
+//! 4. **Keep-alive clients take turns.** A worker serves one request per
+//!    turn and idle connections wait with the acceptor, so no client can
+//!    hold a worker between requests.
+//! 5. **One JSON encoder.** Server responses and
 //!    `dtucker-cli query --format json` share [`json::JsonWriter`], so
 //!    scripted clients see identical bytes from either front end.
 //!
@@ -40,7 +43,8 @@ pub mod http;
 pub mod json;
 /// Request/latency/cache counters and Prometheus text rendering.
 pub mod metrics;
-/// Listener, worker pool, admission queue, and graceful drain.
+/// Listener, worker pool, ready queue and parked set, admission, and
+/// graceful drain.
 pub mod server;
 
 pub use error::{Result, ServeError};

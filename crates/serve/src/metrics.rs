@@ -80,6 +80,7 @@ pub struct Metrics {
     connections_total: AtomicU64,
     queue_depth: AtomicU64,
     inflight: AtomicU64,
+    idle: AtomicU64,
     handler_nanos: AtomicU64,
     handler_count: AtomicU64,
 }
@@ -114,12 +115,20 @@ impl Metrics {
         self.connections_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Sets the accept-queue depth gauge.
+    /// Sets the gauge of connections waiting for a worker (the ready
+    /// queue's depth).
     pub fn set_queue_depth(&self, depth: usize) {
         self.queue_depth.store(depth as u64, Ordering::Relaxed);
     }
 
-    /// Adjusts the in-flight connection gauge by ±1.
+    /// Sets the gauge of idle keep-alive connections parked with the
+    /// acceptor between requests.
+    pub fn set_idle_connections(&self, idle: usize) {
+        self.idle.store(idle as u64, Ordering::Relaxed);
+    }
+
+    /// Adjusts the in-flight connection gauge by ±1 around each worker
+    /// turn (one request on one connection).
     pub fn connection_started(&self) {
         self.inflight.fetch_add(1, Ordering::Relaxed);
     }
@@ -226,6 +235,15 @@ impl Metrics {
         ));
 
         out.push_str(
+            "# HELP dtucker_idle_connections Keep-alive connections parked between requests.\n",
+        );
+        out.push_str("# TYPE dtucker_idle_connections gauge\n");
+        out.push_str(&format!(
+            "dtucker_idle_connections {}\n",
+            self.idle.load(Ordering::Relaxed)
+        ));
+
+        out.push_str(
             "# HELP dtucker_cache_events_total Query-cache events, by artifact and kind.\n",
         );
         out.push_str("# TYPE dtucker_cache_events_total counter\n");
@@ -287,6 +305,7 @@ mod tests {
         m.record_connection();
         m.set_queue_depth(3);
         m.connection_started();
+        m.set_idle_connections(2);
         assert_eq!(m.request_count(), 4);
         assert_eq!(m.shed_count(), 1);
 
@@ -313,6 +332,7 @@ mod tests {
         assert!(text.contains("dtucker_connections_total 1\n"));
         assert!(text.contains("dtucker_accept_queue_depth 3\n"));
         assert!(text.contains("dtucker_inflight_connections 1\n"));
+        assert!(text.contains("dtucker_idle_connections 2\n"));
         assert!(text.contains("dtucker_cache_events_total{artifact=\"demo\",kind=\"hit\"} 5\n"));
         assert!(text.contains("dtucker_cache_bytes{artifact=\"demo\",kind=\"used\"} 4096\n"));
         assert!(text.contains("dtucker_phase_seconds_total{phase=\"contract\"}"));

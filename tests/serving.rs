@@ -1,18 +1,26 @@
-//! Subprocess tests for the serving surface of `dtucker-cli`: `list`
-//! (stdout must stay a clean JSON document while warnings go to stderr),
-//! `query --format json` (shared encoder with the server), and a full
-//! `serve` session over TCP ending in a graceful drain.
+//! Tests for the serving surface. Subprocess tests of `dtucker-cli`:
+//! `list` (stdout must stay a clean JSON document while warnings go to
+//! stderr), `query --format json` (shared encoder with the server), and a
+//! full `serve` session over TCP ending in a graceful drain. In-process
+//! tests of the server's keep-alive scheduling: clients that outnumber
+//! workers, idle connections, and pipelined requests must all be served
+//! promptly and in order.
 
+use dtucker::core::PhaseProfile;
 use dtucker::serve::json::render_result;
+use dtucker::serve::{App, ServeConfig, Server, ServerStats};
 use dtucker::{QueryEngine, Range, TuckerDecomp};
 use dtucker_tensor::random::random_tucker;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 const CLI: &str = env!("CARGO_BIN_EXE_dtucker-cli");
 
@@ -195,4 +203,215 @@ fn serve_session_end_to_end() {
     reader.read_to_string(&mut rest).unwrap();
     assert!(rest.contains("drained"), "{rest}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An in-process server on a free port, serving `decomp(21)` as `demo`.
+struct Running {
+    addr: SocketAddr,
+    app: Arc<App>,
+    handle: JoinHandle<ServerStats>,
+}
+
+impl Running {
+    fn start(threads: usize) -> Running {
+        let cfg = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads,
+            ..ServeConfig::default()
+        };
+        let server = Server::bind(cfg, vec![("demo".to_string(), decomp(21))]).unwrap();
+        let addr = server.local_addr().unwrap();
+        let app = server.app();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+        Running { addr, app, handle }
+    }
+
+    /// A keep-alive client whose reads give up after 2 s, well inside the
+    /// server's 5 s idle timeout, so a starved request fails the test
+    /// instead of being rescued by that timeout.
+    fn connect(&self) -> TcpStream {
+        let s = TcpStream::connect(self.addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        s
+    }
+
+    /// Current value of a gauge, read in-process so that no request of
+    /// the test's own is in flight.
+    fn gauge(&self, name: &str) -> u64 {
+        let text = self
+            .app
+            .metrics
+            .render_prometheus(&[], &PhaseProfile::new());
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} in:\n{text}"))
+            .parse()
+            .unwrap()
+    }
+
+    /// Waits up to 2 s for `gauge(name) == want`.
+    fn await_gauge(&self, name: &str, want: u64) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while self.gauge(name) != want {
+            assert!(
+                Instant::now() < deadline,
+                "{name} stuck at {} (want {want})",
+                self.gauge(name)
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn stop(self) {
+        self.app.begin_drain();
+        self.handle.join().unwrap();
+    }
+}
+
+fn get(path: &str) -> Vec<u8> {
+    format!("GET {path} HTTP/1.1\r\n\r\n").into_bytes()
+}
+
+/// Reads one response frame off a keep-alive connection and returns its
+/// status and body.
+fn read_response(s: &mut TcpStream) -> (u16, String) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        let n = s.read(&mut byte).expect("response did not arrive in time");
+        assert_eq!(n, 1, "EOF inside headers");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).unwrap();
+    let status = head.split(' ').nth(1).unwrap().parse().unwrap();
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .unwrap()
+        .trim()
+        .parse()
+        .unwrap();
+    let mut body = vec![0u8; len];
+    s.read_exact(&mut body).unwrap();
+    (status, String::from_utf8(body).unwrap())
+}
+
+/// The server's answer to `GET /q/demo?at=SPEC`.
+fn element(spec: &str) -> String {
+    let mut engine = QueryEngine::new(decomp(21)).unwrap();
+    let r = Range::parse(spec, &[7, 6, 5]).unwrap();
+    render_result(spec, &engine.query(&r).unwrap())
+}
+
+#[test]
+fn keep_alive_clients_take_turns_on_one_worker() {
+    let server = Running::start(1);
+    let stop = AtomicBool::new(false);
+    let (started_tx, started_rx) = mpsc::channel();
+    let want = element("1,2,3");
+    std::thread::scope(|scope| {
+        // A client that keeps the only worker busy with back-to-back
+        // requests until the other client is done.
+        let busy = scope.spawn(|| {
+            let mut s = server.connect();
+            let mut served = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                s.write_all(&get("/health")).unwrap();
+                assert_eq!(read_response(&mut s).0, 200);
+                served += 1;
+                if served == 1 {
+                    started_tx.send(()).unwrap();
+                }
+            }
+            served
+        });
+        started_rx.recv().unwrap();
+        let mut s = server.connect();
+        let mut worst = Duration::ZERO;
+        for _ in 0..10 {
+            let t = Instant::now();
+            s.write_all(&get("/q/demo?at=1,2,3")).unwrap();
+            let (status, body) = read_response(&mut s);
+            worst = worst.max(t.elapsed());
+            assert_eq!((status, body.as_str()), (200, want.as_str()));
+            // A pause long enough for the connection to be parked
+            // between requests.
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(busy.join().unwrap() > 1);
+        assert!(
+            worst < Duration::from_millis(200),
+            "slowest answer {worst:?}"
+        );
+    });
+    server.stop();
+}
+
+#[test]
+fn idle_keep_alive_connections_cannot_hold_the_pool() {
+    let threads = 2;
+    let server = Running::start(threads);
+    // threads + 1 idle connections: some finished a request and stay
+    // open, the rest never sent anything.
+    let mut idle = Vec::new();
+    for i in 0..=threads {
+        let mut s = server.connect();
+        if i < threads {
+            s.write_all(&get("/health")).unwrap();
+            assert_eq!(read_response(&mut s).0, 200);
+        }
+        idle.push(s);
+    }
+    let t = Instant::now();
+    let mut fresh = server.connect();
+    fresh.write_all(&get("/health")).unwrap();
+    assert_eq!(read_response(&mut fresh).0, 200);
+    assert!(
+        t.elapsed() < Duration::from_millis(500),
+        "took {:?}",
+        t.elapsed()
+    );
+    drop(idle);
+    server.stop();
+}
+
+#[test]
+fn pipelined_requests_survive_the_hand_off() {
+    // Each connection's requests arrive in one write, so after the first
+    // answer the rest sit in the server's read buffer, where a socket
+    // peek cannot see them. Two connections on one worker make the
+    // connections change hands between answers.
+    let server = Running::start(1);
+    let specs = ["0,0,0", "1,2,3", "6,5,4"];
+    let mut conns: Vec<TcpStream> = (0..2).map(|_| server.connect()).collect();
+    for s in &mut conns {
+        let burst: Vec<u8> = specs
+            .iter()
+            .flat_map(|spec| get(&format!("/q/demo?at={spec}")))
+            .collect();
+        s.write_all(&burst).unwrap();
+    }
+    for s in &mut conns {
+        for spec in specs {
+            assert_eq!(read_response(s), (200, element(spec)), "{spec}");
+        }
+    }
+    server.stop();
+}
+
+#[test]
+fn connection_gauges_return_to_zero_after_clients_leave() {
+    let server = Running::start(2);
+    let mut clients: Vec<TcpStream> = (0..3).map(|_| server.connect()).collect();
+    for s in &mut clients {
+        s.write_all(&get("/health")).unwrap();
+        assert_eq!(read_response(s).0, 200);
+    }
+    server.await_gauge("dtucker_idle_connections", 3);
+    server.await_gauge("dtucker_inflight_connections", 0);
+    drop(clients);
+    server.await_gauge("dtucker_idle_connections", 0);
+    assert_eq!(server.gauge("dtucker_inflight_connections"), 0);
+    server.stop();
 }
