@@ -5,7 +5,9 @@
 //!
 //! * `A⁽¹⁾` — leading J₁ left singular vectors of the horizontal
 //!   concatenation `[U₁Σ₁ | … | U_LΣ_L]` (computed through the smaller of
-//!   the two Gram matrices, so the eigen cost is `min(I₁, L·k)³`);
+//!   the two Gram matrices, so the eigen cost is one tridiagonal reduction
+//!   of a `min(I₁, L·k)`-sized Gram plus O(min(I₁, L·k)²·J₁) for the J₁
+//!   leading eigenvectors);
 //! * `A⁽²⁾` — same construction with `V_lΣ_l`;
 //! * `A⁽ⁿ⁾, n ≥ 3` — leading Jₙ left singular vectors of the mode-`n`
 //!   unfolding of the small projected tensor `Y` with slices
@@ -56,9 +58,11 @@ pub fn initialize_threaded(
     let threads = pool::resolve_threads(threads);
 
     // A1 / A2 from the leading left singular vectors of the concatenations
-    // [U₁Σ₁ | … | U_LΣ_L] and [V₁Σ₁ | … | V_LΣ_L]. The Gram side is chosen
-    // by the SVD routine: min(I, L·k)³ eigen cost, never I³ — crucial when
-    // a very long mode ends up as a slice dimension (e.g. a short tensor
+    // [U₁Σ₁ | … | U_LΣ_L] and [V₁Σ₁ | … | V_LΣ_L]. The SVD routine takes
+    // the smaller Gram, g = min(I, L·k) on a side, so the eigen cost is a
+    // ~4/3·g³ tridiagonal reduction plus O(g²·J) for the J wanted
+    // eigenvectors, never a full I×I eigendecomposition — crucial when a
+    // very long mode ends up as a slice dimension (e.g. a short tensor
     // whose time mode dominates).
     let k = st.slice_rank();
     let l = st.num_slices();
@@ -97,7 +101,7 @@ pub fn initialize_threaded(
     Ok(Initialization { factors, core })
 }
 
-/// The cubic Gram-eigen route is exact but costs `min(m, n)³`; past this
+/// The Gram-eigen route is exact but its reduction costs `min(m, n)³`; past this
 /// size the deterministic subspace iteration (`O(iters·m·n·J)`) is used —
 /// initialization only needs the right subspace, which the ALS sweeps then
 /// polish.

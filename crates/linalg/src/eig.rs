@@ -1,17 +1,30 @@
 //! Symmetric eigendecomposition.
 //!
-//! Classic two-stage dense solver: Householder tridiagonalization (`tred2`)
-//! followed by the implicitly shifted QL iteration (`tql2`), both in the
-//! EISPACK/JAMA formulation. This is the backbone of the Gram-matrix routes
-//! used for truncated SVDs of large unfoldings.
+//! Both routes start from the same Householder tridiagonalization `A = Q T
+//! Qᵀ` (the reduction half of EISPACK/JAMA `tred2`, ~4/3·n³ flops):
+//!
+//! * [`sym_eig`] — every eigenpair. The reflectors are accumulated into `Q`
+//!   and the implicitly shifted QL iteration (`tql2`) rotates it into the
+//!   eigenvectors, ~9n³ flops in all. This is the reference solver and the
+//!   test oracle.
+//! * [`sym_eig_top`] — the `k` largest eigenpairs, the route behind the
+//!   Gram-matrix SVDs in [`crate::svd`]. QL without rotations gives all
+//!   eigenvalues of `T` in O(n²); inverse iteration on `T` (LAPACK `dstein`
+//!   style) gives the `k` wanted eigenvectors in O(n·k); the stored
+//!   reflectors carry them back to `A`'s basis in O(n²k). The reduction
+//!   dominates, and nothing depends on eigenvalue gaps.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
+use crate::norms;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-/// Eigendecomposition `A = V diag(λ) Vᵀ` of a symmetric matrix.
+/// Eigenpairs `A v = λ v` of a symmetric matrix.
 #[derive(Debug, Clone)]
 pub struct SymEig {
-    /// Eigenvalues in **ascending** order.
+    /// Eigenvalues: all of them in **ascending** order from [`sym_eig`], the
+    /// leading `k` in **descending** order from [`sym_eig_top`].
     pub values: Vec<f64>,
     /// Orthonormal eigenvectors; column `j` pairs with `values[j]`.
     pub vectors: Matrix,
@@ -20,30 +33,42 @@ pub struct SymEig {
 /// Maximum QL iterations per eigenvalue before reporting non-convergence.
 const MAX_QL_ITER: usize = 64;
 
+/// Inverse-iteration solves per eigenvector. The shift is a computed
+/// eigenvalue, so each solve shrinks every other direction by about
+/// `ε‖T‖ / gap`; four solves leave only round-off.
+const INVERSE_ITERS: usize = 4;
+
+/// Neighbouring eigenvalues closer than this fraction of `‖T‖` form a
+/// cluster whose vectors are re-orthogonalized against each other (the
+/// `ORTOL` of LAPACK `dstein`). Vectors of different clusters are
+/// orthogonal to `ε / CLUSTER_TOL` without it.
+const CLUSTER_TOL: f64 = 1e-3;
+
+/// Seed of the inverse-iteration start vectors: fixed, so the result depends
+/// only on the input matrix.
+const START_SEED: u64 = 0x5EED_E16E;
+
 /// Computes the full eigendecomposition of a symmetric matrix.
 ///
 /// The input is symmetrized as `(A + Aᵀ)/2` before factorization, so slight
 /// asymmetry from accumulated round-off in Gram products is harmless.
 pub fn sym_eig(a: &Matrix) -> Result<SymEig> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::DimensionMismatch {
-            op: "sym_eig",
-            details: format!("matrix is {:?}, must be square", a.shape()),
-        });
-    }
+    let n = square_size(a, "sym_eig")?;
     if n == 0 {
         return Ok(SymEig {
             values: vec![],
             vectors: Matrix::zeros(0, 0),
         });
     }
-    // Symmetrize into the eigenvector workspace.
-    let mut v = Matrix::from_fn(n, n, |r, c| 0.5 * (a.get(r, c) + a.get(c, r)));
+    let mut w = symmetrized(a);
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n];
-    tred2(&mut v, &mut d, &mut e);
-    tql2(&mut v, &mut d, &mut e)?;
+    householder_reduce(&mut w, n, &mut d, &mut e);
+    // The reduction reads `w` column-major; accumulation and QL work on the
+    // row-major `V` it stands for.
+    let mut v = Matrix::from_vec(n, n, w)?.transpose();
+    accumulate_reflectors(&mut v, &mut d, &mut e);
+    tql2(Some(&mut v), &mut d, &mut e)?;
     sort_ascending(&mut v, &mut d);
     Ok(SymEig {
         values: d,
@@ -51,34 +76,72 @@ pub fn sym_eig(a: &Matrix) -> Result<SymEig> {
     })
 }
 
-/// Returns the `k` eigenvectors with the largest eigenvalues, as the columns
-/// of an `n × k` matrix (ordered by descending eigenvalue).
-pub fn leading_eigvecs(a: &Matrix, k: usize) -> Result<Matrix> {
-    let n = a.rows();
+/// Computes the `k` largest eigenpairs of a symmetric matrix, eigenvalues in
+/// descending order, as an `n × k` [`SymEig`].
+///
+/// The eigenvalues are bitwise those of [`sym_eig`] (same reduction, same QL
+/// sweep); the eigenvectors agree with its columns up to sign wherever the
+/// eigenvalue is separated from the rest, and otherwise span the same
+/// invariant subspace. The input is symmetrized as in [`sym_eig`].
+pub fn sym_eig_top(a: &Matrix, k: usize) -> Result<SymEig> {
+    let n = square_size(a, "sym_eig_top")?;
     if k > n {
         return Err(LinalgError::InvalidArgument {
-            op: "leading_eigvecs",
+            op: "sym_eig_top",
             details: format!("k = {k} exceeds matrix size {n}"),
         });
     }
-    let eig = sym_eig(a)?;
-    let mut out = Matrix::zeros(n, k);
-    for j in 0..k {
-        let src = n - 1 - j; // descending order
-        for r in 0..n {
-            out.set(r, j, eig.vectors.get(r, src));
-        }
+    if k == 0 {
+        return Ok(SymEig {
+            values: vec![],
+            vectors: Matrix::zeros(n, 0),
+        });
     }
-    Ok(out)
+    let mut w = symmetrized(a);
+    let mut h = vec![0.0; n];
+    let mut sub = vec![0.0; n];
+    householder_reduce(&mut w, n, &mut h, &mut sub);
+    let diag: Vec<f64> = (0..n).map(|i| w[i * n + i]).collect();
+
+    let mut values = diag.clone();
+    let mut e = sub.clone();
+    tql2(None, &mut values, &mut e)?;
+    values.sort_by(|x, y| y.total_cmp(x));
+    values.truncate(k);
+
+    let mut vectors = tridiagonal_eigvecs(&diag, &sub, &values)?;
+    back_transform(&w, &h, &mut vectors);
+    Ok(SymEig { values, vectors })
 }
 
-/// Householder reduction of `v` (symmetric, overwritten with the accumulated
-/// orthogonal transform) to tridiagonal form with diagonal `d` and
-/// sub-diagonal `e[1..]`.
-fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
-    let n = d.len();
+/// Side of a square matrix, or a dimension error naming `op`.
+fn square_size(a: &Matrix, op: &'static str) -> Result<usize> {
+    if a.cols() != a.rows() {
+        return Err(LinalgError::DimensionMismatch {
+            op,
+            details: format!("matrix is {:?}, must be square", a.shape()),
+        });
+    }
+    Ok(a.rows())
+}
+
+/// `(A + Aᵀ)/2` as a flat buffer. It is exactly symmetric, so it reads the
+/// same row-major and column-major.
+fn symmetrized(a: &Matrix) -> Vec<f64> {
+    Matrix::from_fn(a.rows(), a.cols(), |r, c| 0.5 * (a.get(r, c) + a.get(c, r))).into_vec()
+}
+
+/// Householder reduction of the symmetric `n × n` matrix in `w` to
+/// tridiagonal form: the first half of `tred2`, without accumulating `Q`.
+///
+/// `w` is read column-major — `w[c * n + r]` is `tred2`'s `V[r][c]` — so the
+/// inner loops walk contiguous columns of the lower triangle. On return the
+/// tridiagonal has diagonal `w[i * n + i]` and sub-diagonal `e[1..]`, and
+/// `Q = P_{n−1} ⋯ P_1` with `P_i = I − u uᵀ / d[i]`, `u = w[i*n .. i*n + i]`
+/// (`P_i = I` when `d[i] == 0`).
+fn householder_reduce(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
     for (j, dj) in d.iter_mut().enumerate() {
-        *dj = v.get(n - 1, j);
+        *dj = w[j * n + n - 1];
     }
 
     for i in (1..n).rev() {
@@ -91,9 +154,9 @@ fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
         if scale == 0.0 {
             e[i] = d[i - 1];
             for j in 0..i {
-                d[j] = v.get(i - 1, j);
-                v.set(i, j, 0.0);
-                v.set(j, i, 0.0);
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
+                w[i * n + j] = 0.0;
             }
         } else {
             for dk in d.iter_mut().take(i) {
@@ -108,17 +171,17 @@ fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
             e[i] = scale * g;
             h -= f * g;
             d[i - 1] = f - g;
-            for ej in e.iter_mut().take(i) {
-                *ej = 0.0;
-            }
+            e[..i].fill(0.0);
             // Apply similarity transformation to remaining columns.
             for j in 0..i {
                 let f = d[j];
-                v.set(j, i, f);
-                let mut g = e[j] + v.get(j, j) * f;
-                for k in (j + 1)..i {
-                    g += v.get(k, j) * d[k];
-                    e[k] += v.get(k, j) * f;
+                w[i * n + j] = f;
+                let col = &w[j * n..j * n + i];
+                let mut g = e[j] + col[j] * f;
+                for ((&vk, &dk), ek) in col[j + 1..].iter().zip(&d[j + 1..i]).zip(&mut e[j + 1..i])
+                {
+                    g += vk * dk;
+                    *ek += vk * f;
                 }
                 e[j] = g;
             }
@@ -134,18 +197,23 @@ fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
             for j in 0..i {
                 let f = d[j];
                 let g = e[j];
-                for k in j..i {
-                    let cur = v.get(k, j);
-                    v.set(k, j, cur - (f * e[k] + g * d[k]));
+                let col = &mut w[j * n + j..j * n + i];
+                for ((vk, &ek), &dk) in col.iter_mut().zip(&e[j..i]).zip(&d[j..i]) {
+                    *vk -= f * ek + g * dk;
                 }
-                d[j] = v.get(i - 1, j);
-                v.set(i, j, 0.0);
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
             }
         }
         d[i] = h;
     }
+}
 
-    // Accumulate transformations.
+/// Second half of `tred2`: overwrites the reduced `v` (row-major) with the
+/// accumulated orthogonal transform `Q`, and moves the tridiagonal's
+/// diagonal into `d`.
+fn accumulate_reflectors(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
+    let n = d.len();
     for i in 0..(n - 1) {
         let tmp = v.get(i, i);
         v.set(n - 1, i, tmp);
@@ -178,9 +246,176 @@ fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
     e[0] = 0.0;
 }
 
-/// Implicit QL iteration with shifts on the tridiagonal (`d`, `e`), updating
-/// the accumulated transform `v` to the eigenvectors.
-fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
+/// Eigenvectors of the symmetric tridiagonal `T` (diagonal `diag`,
+/// sub-diagonal `sub[1..]`) for the eigenvalues `values`, sorted descending,
+/// as the columns of an `n × values.len()` matrix.
+///
+/// Inverse iteration after LAPACK `dstein`: `T` is scaled to `‖T‖∞ = 1`;
+/// each solve uses a pivoted LU of `T − λI` whose tiny pivots are raised to
+/// `ε` (the nudge that keeps an exact eigenvalue's shift solvable); the
+/// vectors of a cluster are orthogonalized by modified Gram–Schmidt after
+/// every solve, and differing start vectors keep coincident eigenvalues
+/// from converging to the same vector. A solve that leaves no finite,
+/// non-zero direction is reported as non-convergence.
+fn tridiagonal_eigvecs(diag: &[f64], sub: &[f64], values: &[f64]) -> Result<Matrix> {
+    let n = diag.len();
+    let mut tnorm = 0.0f64;
+    for i in 0..n {
+        let below = sub.get(i + 1).map_or(0.0, |b| b.abs());
+        let above = if i > 0 { sub[i].abs() } else { 0.0 };
+        tnorm = tnorm.max(diag[i].abs() + above + below);
+    }
+    if tnorm == 0.0 {
+        tnorm = 1.0;
+    }
+    let a: Vec<f64> = diag.iter().map(|x| x / tnorm).collect();
+    let b: Vec<f64> = sub.iter().map(|x| x / tnorm).collect();
+
+    let mut rng = StdRng::seed_from_u64(START_SEED);
+    let mut found: Vec<Vec<f64>> = Vec::with_capacity(values.len());
+    let mut cluster_start = 0;
+    for (j, &lambda) in values.iter().enumerate() {
+        if j == 0 || values[j - 1] - lambda >= CLUSTER_TOL * tnorm {
+            cluster_start = j;
+        }
+        let lu = TridiagonalLu::factor(&a, &b, lambda / tnorm, f64::EPSILON);
+        let mut x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        for _ in 0..INVERSE_ITERS {
+            lu.solve(&mut x);
+            for z in &found[cluster_start..j] {
+                norms::axpy(-norms::dot(&x, z), z, &mut x);
+            }
+            let nrm = norms::fro_norm(&x);
+            if !(nrm > 0.0 && nrm.is_finite()) {
+                return Err(LinalgError::NonConvergence {
+                    op: "sym_eig_top",
+                    iterations: INVERSE_ITERS,
+                });
+            }
+            norms::scale(&mut x, 1.0 / nrm);
+        }
+        found.push(x);
+    }
+
+    let mut out = Matrix::zeros(n, values.len());
+    for (j, x) in found.iter().enumerate() {
+        out.set_col(j, x);
+    }
+    Ok(out)
+}
+
+/// LU factorization with partial pivoting of a shifted tridiagonal,
+/// `P (T − σI) = L U`, in the layout of LAPACK `dgttrf`: `U` has diagonal
+/// `d` and two super-diagonals `du`, `du2`; `L` has multipliers `dl`, and
+/// `swapped[i]` records the interchange of rows `i` and `i + 1`.
+struct TridiagonalLu {
+    d: Vec<f64>,
+    du: Vec<f64>,
+    du2: Vec<f64>,
+    dl: Vec<f64>,
+    swapped: Vec<bool>,
+}
+
+impl TridiagonalLu {
+    /// Factors `T − σI` for `T` with diagonal `a` and sub-diagonal `b[1..]`.
+    /// Pivots smaller than `tiny` in magnitude are replaced by `±tiny`, so
+    /// the factor of a (nearly) singular shift stays solvable.
+    fn factor(a: &[f64], b: &[f64], shift: f64, tiny: f64) -> TridiagonalLu {
+        let n = a.len();
+        let mut d: Vec<f64> = a.iter().map(|x| x - shift).collect();
+        let mut dl: Vec<f64> = b.iter().skip(1).copied().collect();
+        let mut du = dl.clone();
+        let mut du2 = vec![0.0; n.saturating_sub(2)];
+        let mut swapped = vec![false; n.saturating_sub(1)];
+        for i in 0..n.saturating_sub(1) {
+            if d[i].abs() >= dl[i].abs() {
+                let l = if d[i] == 0.0 { 0.0 } else { dl[i] / d[i] };
+                dl[i] = l;
+                d[i + 1] -= l * du[i];
+            } else {
+                let l = d[i] / dl[i];
+                d[i] = dl[i];
+                dl[i] = l;
+                let next = d[i + 1];
+                d[i + 1] = du[i] - l * next;
+                du[i] = next;
+                if i + 2 < n {
+                    du2[i] = du[i + 1];
+                    du[i + 1] *= -l;
+                }
+                swapped[i] = true;
+            }
+        }
+        for p in &mut d {
+            if p.abs() < tiny {
+                *p = if *p < 0.0 { -tiny } else { tiny };
+            }
+        }
+        TridiagonalLu {
+            d,
+            du,
+            du2,
+            dl,
+            swapped,
+        }
+    }
+
+    /// Overwrites `x` with `(T − σI)⁻¹ x`.
+    fn solve(&self, x: &mut [f64]) {
+        let n = self.d.len();
+        for i in 0..n.saturating_sub(1) {
+            if self.swapped[i] {
+                let top = x[i];
+                x[i] = x[i + 1];
+                x[i + 1] = top - self.dl[i] * x[i];
+            } else {
+                x[i + 1] -= self.dl[i] * x[i];
+            }
+        }
+        for i in (0..n).rev() {
+            let mut s = x[i];
+            if i + 1 < n {
+                s -= self.du[i] * x[i + 1];
+            }
+            if i + 2 < n {
+                s -= self.du2[i] * x[i + 2];
+            }
+            x[i] = s / self.d[i];
+        }
+    }
+}
+
+/// Carries the tridiagonal's eigenvectors (rows of `y`, `n × k`) back to the
+/// original basis, `y ← Q y = P_{n−1}(⋯(P_1 y))`, with the reflectors that
+/// [`householder_reduce`] left in `w` and `h`.
+fn back_transform(w: &[f64], h: &[f64], y: &mut Matrix) {
+    let n = h.len();
+    let mut g = vec![0.0; y.cols()];
+    for (i, &hi) in h.iter().enumerate().skip(1) {
+        if hi == 0.0 {
+            continue;
+        }
+        let u = &w[i * n..i * n + i];
+        g.fill(0.0);
+        for (r, &ur) in u.iter().enumerate() {
+            for (gc, &yc) in g.iter_mut().zip(y.row(r)) {
+                *gc += ur * yc;
+            }
+        }
+        for (r, &ur) in u.iter().enumerate() {
+            let f = ur / hi;
+            for (yc, &gc) in y.row_mut(r).iter_mut().zip(&g) {
+                *yc -= f * gc;
+            }
+        }
+    }
+}
+
+/// Implicit QL iteration with shifts on the tridiagonal (`d`, `e`), leaving
+/// the eigenvalues in `d`. When `v` holds the accumulated transform it is
+/// rotated into the eigenvectors; without it only the eigenvalues are
+/// computed, in O(n²), and they are bitwise the same.
+fn tql2(mut v: Option<&mut Matrix>, d: &mut [f64], e: &mut [f64]) -> Result<()> {
     let n = d.len();
     for i in 1..n {
         e[i - 1] = e[i];
@@ -246,10 +481,12 @@ fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
                     p = c * d[i] - s * g;
                     d[i + 1] = h + s * (c * g + s * d[i]);
                     // Accumulate eigenvectors.
-                    for k in 0..n {
-                        let h = v.get(k, i + 1);
-                        v.set(k, i + 1, s * v.get(k, i) + c * h);
-                        v.set(k, i, c * v.get(k, i) - s * h);
+                    if let Some(v) = v.as_deref_mut() {
+                        for k in 0..n {
+                            let h = v.get(k, i + 1);
+                            v.set(k, i + 1, s * v.get(k, i) + c * h);
+                            v.set(k, i, c * v.get(k, i) - s * h);
+                        }
                     }
                 }
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -383,15 +620,32 @@ mod tests {
     }
 
     #[test]
-    fn leading_eigvecs_order_and_shape() {
+    fn top_order_and_shape() {
         let a = Matrix::from_diag(&[1.0, 5.0, 3.0, 4.0]);
-        let top = leading_eigvecs(&a, 2).unwrap();
-        assert_eq!(top.shape(), (4, 2));
+        let top = sym_eig_top(&a, 2).unwrap();
+        assert_eq!(top.values, vec![5.0, 4.0]);
+        assert_eq!(top.vectors.shape(), (4, 2));
         // Largest eigenvalue 5 lives at index 1 → first column is ±e₁.
-        assert!((top.get(1, 0).abs() - 1.0).abs() < 1e-10);
+        assert!((top.vectors.get(1, 0).abs() - 1.0).abs() < 1e-10);
         // Second largest eigenvalue 4 lives at index 3.
-        assert!((top.get(3, 1).abs() - 1.0).abs() < 1e-10);
-        assert!(leading_eigvecs(&a, 5).is_err());
+        assert!((top.vectors.get(3, 1).abs() - 1.0).abs() < 1e-10);
+        assert!(sym_eig_top(&a, 5).is_err());
+    }
+
+    #[test]
+    fn top_matches_full_solver() {
+        for &(n, k, seed) in &[(1, 1, 11u64), (7, 3, 12), (40, 5, 13), (100, 10, 14)] {
+            let a = random_sym(n, seed);
+            let full = sym_eig(&a).unwrap();
+            let top = sym_eig_top(&a, k).unwrap();
+            for j in 0..k {
+                assert_eq!(top.values[j], full.values[n - 1 - j]);
+                let ours = top.vectors.col(j);
+                let theirs = full.vectors.col(n - 1 - j);
+                let cos = crate::norms::dot(&ours, &theirs).abs();
+                assert!((cos - 1.0).abs() < 1e-10, "vector {j}: |cos| = {cos}");
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub fn qr_thin(a: &Matrix) -> Qr {
     // v_k[0] = 1 implicitly NOT used; we store the full scaled vector.
     let mut vs: Vec<Vec<f64>> = Vec::with_capacity(t);
     let mut betas: Vec<f64> = Vec::with_capacity(t);
+    let mut w = vec![0.0; n];
 
     for k in 0..t {
         // x = work[k.., k]
@@ -42,17 +43,7 @@ pub fn qr_thin(a: &Matrix) -> Qr {
         let beta = if vnorm_sq == 0.0 { 0.0 } else { 2.0 / vnorm_sq };
         // Apply H = I - beta v vᵀ to work[k.., k..].
         if beta != 0.0 {
-            for c in k..n {
-                let mut dot = 0.0;
-                for (i, &vi) in v.iter().enumerate() {
-                    dot += vi * work.get(k + i, c);
-                }
-                let s = beta * dot;
-                for (i, &vi) in v.iter().enumerate() {
-                    let cur = work.get(k + i, c);
-                    work.set(k + i, c, cur - s * vi);
-                }
-            }
+            reflect_rows(&mut work, k, &v, beta, &mut w[..n - k]);
         }
         // The column is now (alpha, 0, ..., 0)ᵀ below row k; enforce exactly.
         work.set(k, k, alpha);
@@ -66,9 +57,7 @@ pub fn qr_thin(a: &Matrix) -> Qr {
     // R = top t rows of the transformed matrix (upper triangular by construction).
     let mut r = Matrix::zeros(t, n);
     for i in 0..t {
-        for j in i..n {
-            r.set(i, j, work.get(i, j));
-        }
+        r.row_mut(i)[i..].copy_from_slice(&work.row(i)[i..]);
     }
 
     // Q = H_0 H_1 ... H_{t-1} applied to the first t columns of I_m.
@@ -81,21 +70,33 @@ pub fn qr_thin(a: &Matrix) -> Qr {
         if beta == 0.0 {
             continue;
         }
-        let v = &vs[k];
-        for c in 0..t {
-            let mut dot = 0.0;
-            for (i, &vi) in v.iter().enumerate() {
-                dot += vi * q.get(k + i, c);
-            }
-            let s = beta * dot;
-            for (i, &vi) in v.iter().enumerate() {
-                let cur = q.get(k + i, c);
-                q.set(k + i, c, cur - s * vi);
-            }
-        }
+        reflect_rows(&mut q, k, &vs[k], beta, &mut w[..t]);
     }
 
     Qr { q, r }
+}
+
+/// Applies `H = I − β v vᵀ` to rows `k..k + v.len()` of `x`, restricted to
+/// its last `w.len()` columns, one row at a time: `w = β vᵀ X` accumulates
+/// in the row buffer, then every row takes its rank-1 update. Each column's
+/// dot product sums the rows in order, as a column-at-a-time loop would, so
+/// the result is bitwise the same.
+fn reflect_rows(x: &mut Matrix, k: usize, v: &[f64], beta: f64, w: &mut [f64]) {
+    let c0 = x.cols() - w.len();
+    w.fill(0.0);
+    for (i, &vi) in v.iter().enumerate() {
+        for (wc, &xc) in w.iter_mut().zip(&x.row(k + i)[c0..]) {
+            *wc += vi * xc;
+        }
+    }
+    for wc in w.iter_mut() {
+        *wc *= beta;
+    }
+    for (i, &vi) in v.iter().enumerate() {
+        for (xc, &wc) in x.row_mut(k + i)[c0..].iter_mut().zip(w.iter()) {
+            *xc -= wc * vi;
+        }
+    }
 }
 
 /// Returns an orthonormal basis for the column space of `a` (the thin-QR `Q`
