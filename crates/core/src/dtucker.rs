@@ -33,17 +33,6 @@ impl PhaseTimings {
     pub fn total(&self) -> Duration {
         self.approximation + self.initialization + self.iteration
     }
-
-    /// The timings as a generic [`crate::profile::PhaseProfile`], so the
-    /// pipeline's phase split renders through the same reporting path as
-    /// every other subsystem.
-    pub fn as_profile(&self) -> crate::profile::PhaseProfile {
-        let mut p = crate::profile::PhaseProfile::new();
-        p.record("approximation", self.approximation);
-        p.record("initialization", self.initialization);
-        p.record("iteration", self.iteration);
-        p
-    }
 }
 
 /// How the iteration phase is seeded (ablation hook for the convergence
@@ -119,20 +108,6 @@ impl DTucker {
         let sliced = SlicedTensor::compress(x, &self.cfg)?;
         let approximation = t0.elapsed();
         let mut out = self.decompose_sliced_with_init(&sliced, strategy)?;
-        out.timings.approximation = approximation;
-        Ok(out)
-    }
-
-    /// Runs all three phases on a **sparse** tensor (the lineage's
-    /// future-work extension): the approximation phase compresses slices
-    /// through CSR products in `O(nnz·k)`; the rest of the pipeline is
-    /// identical to the dense path.
-    pub fn decompose_sparse(&self, x: &dtucker_tensor::SparseTensor) -> Result<DTuckerOutput> {
-        self.cfg.validate(x.shape())?;
-        let t0 = Instant::now();
-        let sliced = crate::slices::SlicedTensor::compress_sparse(x, &self.cfg)?;
-        let approximation = t0.elapsed();
-        let mut out = self.decompose_sliced_with_init(&sliced, InitStrategy::DTucker)?;
         out.timings.approximation = approximation;
         Ok(out)
     }
@@ -429,41 +404,6 @@ mod tests {
         assert!(DTucker::new(DTuckerConfig::uniform(11, 3))
             .decompose(&x)
             .is_err());
-    }
-
-    #[test]
-    fn sparse_decomposition_recovers_sampled_tensor() {
-        use dtucker_tensor::SparseTensor;
-        // A genuinely sparse low-rank tensor: sample 30% of a low-rank
-        // tensor's entries (rescaled), then decompose through the sparse
-        // path. The rescaled sample is an unbiased but noisy estimator, so
-        // accuracy is judged against the sample itself.
-        let x = noisy(&[24, 20, 12], &[3, 3, 3], 0.0, 30);
-        let mut rng = StdRng::seed_from_u64(31);
-        let sx = SparseTensor::sample_from_dense(&x, 0.3, &mut rng).unwrap();
-        let dense_of_sample = sx.to_dense().unwrap();
-        let out = DTucker::new(DTuckerConfig::uniform(3, 3).with_seed(32))
-            .decompose_sparse(&sx)
-            .unwrap();
-        let err = out
-            .decomposition
-            .relative_error_sq(&dense_of_sample)
-            .unwrap();
-        // A 30% Bernoulli sample of a low-rank tensor is mostly "low rank +
-        // masking noise"; rank-3 should explain a good chunk of it.
-        assert!(err < 0.9, "error {err}");
-        assert!(out.decomposition.factors_orthonormal(1e-6));
-        // Full-density sparse input must match the dense result closely.
-        let full = SparseTensor::sample_from_dense(&x, 1.0, &mut rng).unwrap();
-        let sparse_out = DTucker::new(DTuckerConfig::uniform(3, 3).with_seed(33))
-            .decompose_sparse(&full)
-            .unwrap();
-        let dense_out = DTucker::new(DTuckerConfig::uniform(3, 3).with_seed(33))
-            .decompose(&x)
-            .unwrap();
-        let es = sparse_out.decomposition.relative_error_sq(&x).unwrap();
-        let ed = dense_out.decomposition.relative_error_sq(&x).unwrap();
-        assert!((es - ed).abs() < 1e-6, "sparse {es} vs dense {ed}");
     }
 
     #[test]

@@ -101,10 +101,15 @@ pub fn initialize_threaded(
     Ok(Initialization { factors, core })
 }
 
-/// The Gram-eigen route is exact but its reduction costs `min(m, n)³`; past this
-/// size the deterministic subspace iteration (`O(iters·m·n·J)`) is used —
-/// initialization only needs the right subspace, which the ALS sweeps then
-/// polish.
+/// Above this `min(m, n)`, initialization takes its leading singular vectors
+/// from 8 deterministic subspace iterations (`O(iters·m·n·J)`) instead of the
+/// Gram route: it only needs the right subspace, which the ALS sweeps then
+/// polish. At rank 10 the concatenations of the paper-scale boats (700×2400)
+/// and traffic (2000×960) presets cross the limit. On Gaussian matrices of
+/// those shapes (2-vCPU VM, best of 3) the Gram route took 176 ms against
+/// 77 ms for the subspace route at 700×2400, and 424 ms against 111 ms at
+/// 2000×960, so routing them through it would slow paper-scale
+/// initialization 2–4×.
 const EXACT_LSV_LIMIT: usize = 600;
 
 fn leading_lsv_adaptive(a: &Matrix, k: usize) -> Result<Matrix> {

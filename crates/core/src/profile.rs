@@ -7,11 +7,8 @@
 //! materializing more than one hyperslab at a time beyond the full
 //! reconstruction.
 //!
-//! [`PhaseProfile`] is the one phase-timing mechanism of the workspace:
-//! the decomposition pipeline reports its approximation/initialization/
-//! iteration split through it (see `PhaseTimings::as_profile`), and the
-//! query engine reports its plan/contract/cache split through the same
-//! type, so tooling renders both identically.
+//! [`PhaseProfile`] is the query engine's phase-timing accumulator: it
+//! reports the plan/contract/cache split of every query.
 
 use crate::error::{CoreError, Result};
 use crate::tucker::TuckerDecomp;
@@ -270,18 +267,6 @@ mod tests {
         p.record_n("idle", Duration::from_millis(9), 0);
         assert_eq!(p.count("idle"), 0);
         assert!(p.get("idle").is_none());
-    }
-
-    #[test]
-    fn phase_timings_bridge_to_profile() {
-        let t = crate::dtucker::PhaseTimings {
-            approximation: Duration::from_millis(7),
-            initialization: Duration::from_millis(2),
-            iteration: Duration::from_millis(11),
-        };
-        let p = t.as_profile();
-        assert_eq!(p.total(), t.total());
-        assert_eq!(p.get("iteration"), Some(Duration::from_millis(11)));
     }
 
     #[test]

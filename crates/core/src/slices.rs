@@ -197,120 +197,6 @@ impl SlicedTensor {
         })
     }
 
-    /// Adaptive compression (extension): each slice keeps the **smallest**
-    /// rank whose discarded energy is at most `epsilon · ‖X_l‖²_F`, capped
-    /// at the rank the configuration would use anyway. Slices that are
-    /// nearly low-rank store fewer vectors; busy slices keep the full
-    /// budget. Mode reordering is the paper's default (two largest lead).
-    pub fn compress_adaptive(x: &DenseTensor, epsilon: f64, cfg: &DTuckerConfig) -> Result<Self> {
-        if !(0.0..1.0).contains(&epsilon) {
-            return Err(CoreError::InvalidConfig {
-                details: format!("epsilon {epsilon} must be in [0, 1)"),
-            });
-        }
-        let mut st = Self::compress(x, cfg)?;
-        // Per-slice energy truncation. The discarded-energy estimate uses
-        // the exact slice norm, so the bound is honest even for randomized
-        // slice SVDs.
-        let internal = permute(x, &st.perm)?;
-        let j_floor = st
-            .perm
-            .iter()
-            .take(2)
-            .map(|&p| cfg.ranks[p])
-            .max()
-            .unwrap_or(1);
-        for (l, sl) in st.slices.iter_mut().enumerate() {
-            let slice_norm_sq = {
-                let m = internal.frontal_slice(l)?;
-                let n = m.fro_norm();
-                n * n
-            };
-            if slice_norm_sq == 0.0 {
-                continue;
-            }
-            let budget = epsilon * slice_norm_sq;
-            let mut kept = 0.0;
-            let mut r = sl.s.len();
-            for (idx, &sv) in sl.s.iter().enumerate() {
-                kept += sv * sv;
-                if slice_norm_sq - kept <= budget {
-                    r = idx + 1;
-                    break;
-                }
-            }
-            // Never truncate below the Tucker rank the slice must support.
-            let r = r.max(j_floor.min(sl.s.len()));
-            if r < sl.s.len() {
-                sl.u = sl.u.truncate_cols(r);
-                sl.v = sl.v.truncate_cols(r);
-                sl.s.truncate(r);
-            }
-        }
-        Ok(st)
-    }
-
-    /// Ranks actually stored per slice (uniform after [`compress`],
-    /// variable after [`compress_adaptive`]).
-    ///
-    /// [`compress`]: Self::compress
-    /// [`compress_adaptive`]: Self::compress_adaptive
-    pub fn slice_ranks(&self) -> Vec<usize> {
-        self.slices.iter().map(|sl| sl.s.len()).collect()
-    }
-
-    /// Compresses a **sparse** tensor (the lineage's stated future-work
-    /// direction): per-slice randomized SVDs evaluated through CSR
-    /// products in `O(nnz·k)`, producing the same [`SlicedTensor`]
-    /// representation — the initialization/iteration phases are untouched.
-    pub fn compress_sparse(x: &dtucker_tensor::SparseTensor, cfg: &DTuckerConfig) -> Result<Self> {
-        let perm = descending_mode_order(x.shape());
-        Self::compress_sparse_with_perm(x, &perm, cfg)
-    }
-
-    /// [`Self::compress_sparse`] with an explicit mode permutation.
-    pub fn compress_sparse_with_perm(
-        x: &dtucker_tensor::SparseTensor,
-        perm: &[usize],
-        cfg: &DTuckerConfig,
-    ) -> Result<Self> {
-        cfg.validate(x.shape())?;
-        let internal = x.permute(perm)?;
-        let shape = internal.shape().to_vec();
-        let j1 = cfg.ranks[perm[0]];
-        let j2 = cfg.ranks[perm[1]];
-        let k = cfg.effective_slice_rank(j1, j2).min(shape[0]).min(shape[1]);
-        let csr = internal.frontal_slices_csr()?;
-        let mut slices = Vec::with_capacity(csr.len());
-        for (l, sl) in csr.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(slice_seed(cfg.seed, l));
-            let d = match cfg.slice_svd {
-                SliceSvdKind::Randomized => dtucker_linalg::rsvd::rsvd_sparse(
-                    sl,
-                    RsvdConfig {
-                        rank: k,
-                        oversample: cfg.oversample,
-                        power_iters: cfg.power_iters,
-                    },
-                    &mut rng,
-                )?,
-                SliceSvdKind::Exact => svd(&sl.to_dense())?.truncate(k),
-            };
-            slices.push(SliceSvd {
-                u: d.u,
-                s: d.s,
-                v: d.v,
-            });
-        }
-        Ok(SlicedTensor {
-            shape,
-            perm: perm.to_vec(),
-            slice_rank: k,
-            slices,
-            norm_x_sq: x.fro_norm_sq(),
-        })
-    }
-
     /// Internal (permuted) shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -675,95 +561,6 @@ mod tests {
         assert!(st.append_block(&bad, &cfg).is_err());
         let bad_order = DenseTensor::zeros(&[8, 10]).unwrap();
         assert!(st.append_block(&bad_order, &cfg).is_err());
-    }
-
-    #[test]
-    fn adaptive_compression_varies_slice_ranks() {
-        use dtucker_linalg::gemm::matmul_t;
-        use dtucker_linalg::qr::orthonormalize;
-        use dtucker_linalg::random::gaussian_matrix;
-        // Hand-build a tensor whose slices have very different ranks:
-        // slice 0 is rank 1, slice 1 is rank 6, slices 2..4 are rank 3.
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut slices_mats = Vec::new();
-        for rank in [1usize, 6, 3, 3] {
-            let u = orthonormalize(&gaussian_matrix(30, rank, &mut rng));
-            let v = orthonormalize(&gaussian_matrix(24, rank, &mut rng));
-            let mut m = matmul_t(&u, &v);
-            m.scale(5.0);
-            slices_mats.push(m);
-        }
-        let x = DenseTensor::from_frontal_slices(&[30, 24, 4], &slices_mats).unwrap();
-        let mut cfg = config(3, 3);
-        cfg.slice_rank = Some(8);
-        cfg.slice_svd = SliceSvdKind::Exact;
-        let st = SlicedTensor::compress_adaptive(&x, 1e-10, &cfg).unwrap();
-        let ranks = st.slice_ranks();
-        assert_eq!(ranks[0], 3, "rank-1 slice floors at the Tucker rank");
-        assert_eq!(ranks[1], 6, "rank-6 slice keeps 6 vectors");
-        assert_eq!(ranks[2], 3);
-        // Adaptive storage is smaller than the uniform budget.
-        let uniform = SlicedTensor::compress(&x, &cfg).unwrap();
-        assert!(st.memory_bytes() < uniform.memory_bytes());
-        // And reconstruction stays accurate.
-        assert!(st.compression_error_sq(&x).unwrap() < 1e-9);
-    }
-
-    #[test]
-    fn adaptive_validates_epsilon() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let x = low_rank_plus_noise(&[10, 8, 3], &[2, 2, 2], 0.0, &mut rng).unwrap();
-        let cfg = config(2, 3);
-        assert!(SlicedTensor::compress_adaptive(&x, 1.0, &cfg).is_err());
-        assert!(SlicedTensor::compress_adaptive(&x, -0.1, &cfg).is_err());
-        let st = SlicedTensor::compress_adaptive(&x, 0.01, &cfg).unwrap();
-        assert_eq!(st.slice_ranks().len(), 3);
-    }
-
-    #[test]
-    fn adaptive_slices_still_decompose() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let x = low_rank_plus_noise(&[24, 20, 10], &[3, 3, 3], 0.02, &mut rng).unwrap();
-        let cfg = config(3, 3);
-        let st = SlicedTensor::compress_adaptive(&x, 1e-3, &cfg).unwrap();
-        let out = crate::dtucker::DTucker::new(cfg)
-            .decompose_sliced(&st)
-            .unwrap();
-        let err = out.decomposition.relative_error_sq(&x).unwrap();
-        assert!(err < 0.01, "error {err}");
-    }
-
-    #[test]
-    fn sparse_compression_matches_dense_pipeline() {
-        use dtucker_tensor::SparseTensor;
-        let mut rng = StdRng::seed_from_u64(20);
-        let x = low_rank_plus_noise(&[18, 14, 6], &[3, 3, 3], 0.05, &mut rng).unwrap();
-        // Keep every entry: the sparse tensor equals the dense one, so the
-        // two compression routes (same per-slice seeds) must agree exactly.
-        let sx = SparseTensor::sample_from_dense(&x, 1.0, &mut rng).unwrap();
-        let cfg = config(3, 3);
-        let dense_st = SlicedTensor::compress(&x, &cfg).unwrap();
-        let sparse_st = SlicedTensor::compress_sparse(&sx, &cfg).unwrap();
-        assert_eq!(sparse_st.num_slices(), dense_st.num_slices());
-        assert_eq!(sparse_st.perm(), dense_st.perm());
-        for (a, b) in sparse_st.slices().iter().zip(dense_st.slices().iter()) {
-            for (sa, sb) in a.s.iter().zip(b.s.iter()) {
-                assert!((sa - sb).abs() < 1e-9 * (1.0 + sb), "{sa} vs {sb}");
-            }
-        }
-        assert!((sparse_st.norm_x_sq() - dense_st.norm_x_sq()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sparse_compression_exact_kind() {
-        use dtucker_tensor::SparseTensor;
-        let mut rng = StdRng::seed_from_u64(21);
-        let x = low_rank_plus_noise(&[12, 10, 4], &[2, 2, 2], 0.0, &mut rng).unwrap();
-        let sx = SparseTensor::sample_from_dense(&x, 1.0, &mut rng).unwrap();
-        let mut cfg = config(2, 3);
-        cfg.slice_svd = SliceSvdKind::Exact;
-        let st = SlicedTensor::compress_sparse(&sx, &cfg).unwrap();
-        assert!(st.compression_error_sq(&x).unwrap() < 1e-10);
     }
 
     fn assert_bit_identical(a: &SlicedTensor, b: &SlicedTensor) {

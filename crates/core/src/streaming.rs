@@ -5,8 +5,8 @@
 //! New data arrives as blocks `ΔX ∈ R^{I₁×…×I_{N−1}×Δt}`. Each block is
 //! compressed into slice SVDs and appended to the [`SlicedTensor`]; the
 //! factors are then refreshed with a handful of warm-started ALS sweeps —
-//! the non-temporal factors barely move, so a small `refresh_iters` (default
-//! 5) recovers batch-level accuracy at a fraction of the cost of
+//! the non-temporal factors barely move, so `REFRESH_ITERS` (5) sweeps
+//! recover batch-level accuracy at a fraction of the cost of
 //! recomputing from scratch.
 
 use crate::config::DTuckerConfig;
@@ -21,12 +21,13 @@ use dtucker_linalg::matrix::Matrix;
 use dtucker_tensor::dense::DenseTensor;
 use dtucker_tensor::unfold::{inverse_permutation, permute};
 
+/// Warm-started ALS sweeps per append.
+const REFRESH_ITERS: usize = 5;
+
 /// Incremental D-Tucker over a temporally growing tensor.
 #[derive(Debug, Clone)]
 pub struct DTuckerStream {
     cfg: DTuckerConfig,
-    /// ALS sweeps per append (warm-started).
-    refresh_iters: usize,
     sliced: SlicedTensor,
     /// Current factors in internal order.
     factors_int: Vec<Matrix>,
@@ -48,18 +49,11 @@ impl DTuckerStream {
         let out = iterate(&sliced, &ranks_int, init.factors, &cfg)?;
         Ok(DTuckerStream {
             cfg,
-            refresh_iters: 5,
             sliced,
             factors_int: out.factors,
             core_int: out.core,
             last_trace: out.trace,
         })
-    }
-
-    /// Sets the number of warm-started sweeps per append.
-    pub fn with_refresh_iters(mut self, iters: usize) -> Self {
-        self.refresh_iters = iters.max(1);
-        self
     }
 
     /// Appends a block along the temporal mode and refreshes the
@@ -108,7 +102,7 @@ impl DTuckerStream {
         factors[temporal] = grown;
 
         let mut cfg = self.cfg.clone();
-        cfg.max_iters = self.refresh_iters;
+        cfg.max_iters = REFRESH_ITERS;
         let out = iterate(&self.sliced, &ranks_int, factors, &cfg)?;
         self.factors_int = out.factors;
         self.core_int = out.core;
@@ -208,14 +202,5 @@ mod tests {
         assert!(stream.append(&bad).is_err());
         let bad_order = DenseTensor::zeros(&[24, 18]).unwrap();
         assert!(stream.append(&bad_order).is_err());
-    }
-
-    #[test]
-    fn refresh_iters_builder() {
-        let x = growing_tensor(8, 7);
-        let cfg = DTuckerConfig::uniform(2, 3).with_seed(8);
-        let stream = DTuckerStream::new(&x, cfg).unwrap().with_refresh_iters(0);
-        assert_eq!(stream.refresh_iters, 1);
-        assert!(stream.last_trace().iterations() >= 1);
     }
 }

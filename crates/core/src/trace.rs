@@ -19,11 +19,6 @@ impl ConvergenceTrace {
         self.sweep_fits.len()
     }
 
-    /// Final fit indicator (`None` before the first sweep).
-    pub fn final_fit(&self) -> Option<f64> {
-        self.sweep_fits.last().copied()
-    }
-
     /// Records a sweep; returns `true` when the change against the previous
     /// sweep is below `tol`.
     pub fn record(&mut self, fit: f64, tol: f64) -> bool {
@@ -51,14 +46,12 @@ mod tests {
         assert!(t.record(0.4000001, 1e-3));
         assert!(t.converged);
         assert_eq!(t.iterations(), 3);
-        assert!((t.final_fit().unwrap() - 0.4000001).abs() < 1e-12);
     }
 
     #[test]
     fn empty_trace() {
         let t = ConvergenceTrace::default();
         assert_eq!(t.iterations(), 0);
-        assert!(t.final_fit().is_none());
         assert!(!t.converged);
     }
 }

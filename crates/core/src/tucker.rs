@@ -101,67 +101,6 @@ impl TuckerDecomp {
         ((norm_x_sq - self.core.fro_norm_sq()) / norm_x_sq).max(0.0)
     }
 
-    /// Reconstructs only hyperslab `t` along the **last** mode (e.g. one
-    /// timestep of a temporal tensor), without materializing the full
-    /// reconstruction. The result has the last mode dropped.
-    ///
-    /// Cost: one multi-TTM of the core plus a row contraction —
-    /// `O(ΠIₖ·J)` instead of `O(ΠIₖ·J·I_N)` for a full reconstruction.
-    pub fn reconstruct_last_mode_slice(&self, t: usize) -> Result<DenseTensor> {
-        self.validate()?;
-        let n = self.factors.len();
-        let last = &self.factors[n - 1];
-        if t >= last.rows() {
-            return Err(CoreError::InvalidConfig {
-                details: format!(
-                    "slice {t} out of range for last mode of size {}",
-                    last.rows()
-                ),
-            });
-        }
-        // Contract the last mode with row t first (shrinks to size 1), then
-        // expand the remaining modes.
-        let row = Matrix::from_vec(1, last.cols(), last.row(t).to_vec())?;
-        let mut cur = ttm(&self.core, &row, n - 1)?;
-        for mode in 0..n - 1 {
-            cur = ttm(&cur, &self.factors[mode], mode)?;
-        }
-        let shape: Vec<usize> = cur.shape()[..n - 1].to_vec();
-        cur.reshape(&shape).map_err(Into::into)
-    }
-
-    /// Truncates the decomposition to smaller multilinear ranks **without
-    /// touching the original tensor**, by running a sequentially truncated
-    /// HOSVD on the (small) core and absorbing the rotations into the
-    /// factors. This is the optimal rank reduction of the *model* (not of
-    /// the original data — but the two coincide up to the model's own
-    /// error).
-    pub fn truncate_to(&self, ranks: &[usize]) -> Result<TuckerDecomp> {
-        self.validate()?;
-        let n = self.factors.len();
-        if ranks.len() != n {
-            return Err(CoreError::InvalidConfig {
-                details: format!("{} ranks for an order-{n} decomposition", ranks.len()),
-            });
-        }
-        for (mode, (&r, &j)) in ranks.iter().zip(self.core.shape().iter()).enumerate() {
-            if r == 0 || r > j {
-                return Err(CoreError::InvalidConfig {
-                    details: format!("rank {r} invalid for core mode {mode} of size {j}"),
-                });
-            }
-        }
-        let mut core = self.core.clone();
-        let mut factors = Vec::with_capacity(n);
-        for mode in 0..n {
-            let unf = dtucker_tensor::unfold::unfold(&core, mode)?;
-            let u = dtucker_linalg::svd::leading_left_singular_vectors(&unf, ranks[mode])?;
-            core = dtucker_tensor::ttm::ttm_t(&core, &u, mode)?;
-            factors.push(dtucker_linalg::gemm::matmul(&self.factors[mode], &u));
-        }
-        Ok(TuckerDecomp { core, factors })
-    }
-
     /// Memory footprint of the decomposition in bytes (core + factors).
     pub fn memory_bytes(&self) -> usize {
         let f: usize = self.factors.iter().map(|m| m.len()).sum();
@@ -240,69 +179,6 @@ mod tests {
         let mut d2 = d.clone();
         d2.factors[0].scale(2.0);
         assert!(!d2.factors_orthonormal(1e-8));
-    }
-
-    #[test]
-    fn truncate_to_reduces_ranks_optimally() {
-        use dtucker_tensor::random::low_rank_plus_noise;
-        // Build a rank-(4,4,4) model of a noisy tensor, then truncate to
-        // (2,2,2) and compare with decomposing straight to (2,2,2).
-        let mut rng = StdRng::seed_from_u64(31);
-        let x = low_rank_plus_noise(&[20, 18, 14], &[4, 4, 4], 0.05, &mut rng).unwrap();
-        let full =
-            crate::dtucker::DTucker::new(crate::config::DTuckerConfig::uniform(4, 3).with_seed(1))
-                .decompose(&x)
-                .unwrap()
-                .decomposition;
-        let truncated = full.truncate_to(&[2, 2, 2]).unwrap();
-        assert_eq!(truncated.ranks(), &[2, 2, 2]);
-        assert!(truncated.factors_orthonormal(1e-7));
-
-        let direct =
-            crate::dtucker::DTucker::new(crate::config::DTuckerConfig::uniform(2, 3).with_seed(1))
-                .decompose(&x)
-                .unwrap()
-                .decomposition;
-        let e_trunc = truncated.relative_error_sq(&x).unwrap();
-        let e_direct = direct.relative_error_sq(&x).unwrap();
-        assert!(
-            e_trunc <= e_direct * 1.3 + 1e-4,
-            "truncated {e_trunc} vs direct {e_direct}"
-        );
-        // Identity truncation is a no-op up to rotation.
-        let same = full.truncate_to(&[4, 4, 4]).unwrap();
-        let e_same = same.relative_error_sq(&x).unwrap();
-        let e_full = full.relative_error_sq(&x).unwrap();
-        assert!((e_same - e_full).abs() < 1e-9);
-    }
-
-    #[test]
-    fn truncate_to_validates() {
-        let d = model(30);
-        assert!(d.truncate_to(&[3, 2]).is_err());
-        assert!(d.truncate_to(&[4, 2, 4]).is_err()); // exceeds core mode 0 (3)
-        assert!(d.truncate_to(&[0, 2, 4]).is_err());
-        assert!(d.truncate_to(&[2, 2, 2]).is_ok());
-    }
-
-    #[test]
-    fn partial_reconstruction_matches_full() {
-        let d = model(9);
-        let full = d.reconstruct().unwrap();
-        let last = d.factors[2].rows();
-        for t in [0usize, 3, last - 1] {
-            let slice = d.reconstruct_last_mode_slice(t).unwrap();
-            assert_eq!(slice.shape(), &[8, 7]);
-            for i in 0..8 {
-                for j in 0..7 {
-                    assert!(
-                        (slice.get(&[i, j]) - full.get(&[i, j, t])).abs() < 1e-10,
-                        "t={t} ({i},{j})"
-                    );
-                }
-            }
-        }
-        assert!(d.reconstruct_last_mode_slice(last).is_err());
     }
 
     #[test]

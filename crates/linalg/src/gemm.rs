@@ -13,8 +13,7 @@
 //!
 //! Shape mismatches are programming errors (the shapes in every caller are
 //! derived from tensor metadata), so like slice indexing these functions
-//! panic on mismatch; `try_matmul` is the checked front door for user-facing
-//! code.
+//! panic on mismatch.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
@@ -286,17 +285,6 @@ pub fn matmul_row_range(a: &Matrix, r0: usize, r1: usize, b: &Matrix) -> Result<
         pool::threads_for_flops(2 * m * n * p),
     );
     Ok(c)
-}
-
-/// Checked variant of [`matmul`].
-pub fn try_matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul",
-            details: format!("{:?} * {:?}", a.shape(), b.shape()),
-        });
-    }
-    Ok(matmul(a, b))
 }
 
 /// `Aᵀ * B`. Panics if `a.rows() != b.rows()`.
@@ -655,14 +643,6 @@ mod tests {
                 assert_eq!(g.get(i, j), g.get(j, i));
             }
         }
-    }
-
-    #[test]
-    fn try_matmul_checks_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(4, 2);
-        assert!(try_matmul(&a, &b).is_err());
-        assert!(try_matmul(&a, &Matrix::zeros(3, 2)).is_ok());
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! * [`qr`] — Householder thin QR, orthonormalization, least squares;
 //! * [`svd`] — accurate one-sided-Jacobi SVD plus Gram-matrix routes for
 //!   truncated factors;
-//! * [`eig`] — symmetric eigendecomposition (`tred2` + `tql2`);
+//! * [`eig`] — symmetric eigendecomposition (Householder tridiagonalization
+//!   + QL) and its top-k variant;
 //! * [`rsvd`] — randomized SVD (the D-Tucker approximation-phase kernel);
-//! * [`lu`], [`cholesky`] — linear solves;
-//! * [`kron`] — Kronecker / Khatri–Rao products;
+//! * [`cholesky`] — SPD factorization and solves;
 //! * [`random`] — Gaussian test matrices (Marsaglia polar method);
 //! * [`norms`] — overflow-safe norms and slice helpers.
 //!
@@ -47,13 +47,9 @@ pub mod eig;
 pub mod error;
 /// Cache-blocked, packed, multi-threaded GEMM.
 pub mod gemm;
-/// Kronecker products and structured multiplies.
-pub mod kron;
-/// Partially pivoted LU factorization and solves.
-pub mod lu;
 /// The dense row-major `Matrix` type.
 pub mod matrix;
-/// Frobenius/spectral norms and stable accumulators.
+/// Frobenius norms and stable accumulators.
 pub mod norms;
 /// Elementwise matrix arithmetic and operator overloads.
 pub mod ops;
@@ -61,14 +57,10 @@ pub mod ops;
 pub mod pool;
 /// Householder QR factorization.
 pub mod qr;
-/// Column-pivoted QR (rank-revealing).
-pub mod qrcp;
 /// Seeded Gaussian test/sketch matrices.
 pub mod random;
 /// Randomized SVD (range finder + small SVD).
 pub mod rsvd;
-/// CSR sparse matrices and sparse-dense products.
-pub mod sparse;
 /// One-sided Jacobi SVD and truncated variants.
 pub mod svd;
 /// Golub–Reinsch bidiagonal SVD.

@@ -226,12 +226,6 @@ impl Matrix {
         self.submatrix(0, self.rows, 0, k)
     }
 
-    /// Keeps only the first `k` rows.
-    pub fn truncate_rows(&self, k: usize) -> Matrix {
-        debug_assert!(k <= self.rows);
-        self.submatrix(0, k, 0, self.cols)
-    }
-
     /// Horizontal concatenation `[self | other]`.
     pub fn hcat(&self, other: &Matrix) -> Result<Matrix> {
         if self.rows != other.rows {
@@ -506,7 +500,6 @@ mod tests {
         assert_eq!(s.get(0, 0), m.get(1, 2));
         assert_eq!(s.get(1, 1), m.get(2, 3));
         assert_eq!(m.truncate_cols(2).shape(), (4, 2));
-        assert_eq!(m.truncate_rows(3).shape(), (3, 4));
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! There is exactly one resolution rule, [`resolve_threads`]:
 //!
 //! 1. an explicit per-call request (`cfg.threads > 0`) wins;
-//! 2. otherwise a process-wide override set with [`set_default_threads`];
-//! 3. otherwise the `DTUCKER_THREADS` environment variable (read once);
-//! 4. otherwise [`std::thread::available_parallelism`].
+//! 2. otherwise the `DTUCKER_THREADS` environment variable (read once);
+//! 3. otherwise [`std::thread::available_parallelism`].
 //!
 //! # Flop threshold
 //!
@@ -56,7 +55,6 @@ pub const MAX_THREADS: usize = 256;
 /// uneven chunk does not serialize the tail).
 const CHUNKS_PER_THREAD: usize = 4;
 
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static FLOP_THRESHOLD_SET: AtomicBool = AtomicBool::new(false);
 static FLOP_THRESHOLD: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_FLOP_THRESHOLD);
 
@@ -70,23 +68,12 @@ fn env_threads() -> Option<usize> {
     })
 }
 
-/// Sets the process-wide default thread count used when a caller passes
-/// `0` ("auto"). Pass `0` to clear the override and fall back to
-/// `DTUCKER_THREADS` / available parallelism.
-pub fn set_default_threads(n: usize) {
-    THREAD_OVERRIDE.store(n.min(MAX_THREADS), Ordering::Relaxed);
-}
-
 /// Resolves a requested thread count through the policy chain
-/// (request → override → `DTUCKER_THREADS` → available parallelism).
+/// (request → `DTUCKER_THREADS` → available parallelism).
 /// Always returns at least 1.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested.min(MAX_THREADS);
-    }
-    let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 {
-        return o;
     }
     if let Some(n) = env_threads() {
         return n.min(MAX_THREADS);

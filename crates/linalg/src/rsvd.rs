@@ -78,42 +78,6 @@ pub fn rsvd<R: Rng + ?Sized>(a: &Matrix, cfg: RsvdConfig, rng: &mut R) -> Result
     .truncate(k))
 }
 
-/// Randomized SVD of a **sparse** matrix: identical algorithm to [`rsvd`],
-/// with the two big products evaluated through CSR in `O(nnz·l)` — the
-/// kernel of the sparse-input D-Tucker extension.
-pub fn rsvd_sparse<R: Rng + ?Sized>(
-    a: &crate::sparse::CsrMatrix,
-    cfg: RsvdConfig,
-    rng: &mut R,
-) -> Result<Svd> {
-    let (m, n) = (a.rows(), a.cols());
-    if cfg.rank == 0 {
-        return Err(LinalgError::InvalidArgument {
-            op: "rsvd_sparse",
-            details: "rank must be ≥ 1".into(),
-        });
-    }
-    let k = cfg.rank.min(m.min(n));
-    let l = (cfg.rank + cfg.oversample).min(m.min(n));
-
-    let omega = gaussian_matrix(n, l, rng);
-    let mut q = orthonormalize(&a.matmul_dense(&omega)?);
-    for _ in 0..cfg.power_iters {
-        let z = orthonormalize(&a.t_matmul_dense(&q)?);
-        q = orthonormalize(&a.matmul_dense(&z)?);
-    }
-    // B = Qᵀ A computed as (Aᵀ Q)ᵀ to stay in CSR-friendly products.
-    let bt = a.t_matmul_dense(&q)?; // n × l
-    let inner = svd(&bt)?; // Bᵀ = U_b S V_bᵀ ⇒ B = V_b S U_bᵀ
-    let u = matmul(&q, &inner.v);
-    Ok(Svd {
-        u,
-        s: inner.s,
-        v: inner.u,
-    }
-    .truncate(k))
-}
-
 /// Randomized range finder only: an orthonormal `m × l` basis `Q` with
 /// `‖A − QQᵀA‖` close to the optimal rank-`l` error.
 pub fn randomized_range_finder<R: Rng + ?Sized>(
@@ -232,43 +196,6 @@ mod tests {
         let d2 = rsvd(&a, RsvdConfig::new(3), &mut StdRng::seed_from_u64(9)).unwrap();
         assert_eq!(d1.u, d2.u);
         assert_eq!(d1.s, d2.s);
-    }
-
-    #[test]
-    fn rsvd_sparse_matches_dense_route() {
-        // A sparse low-rank-ish matrix: outer product of sparse vectors.
-        let mut rng = StdRng::seed_from_u64(20);
-        let dense = {
-            let mut m = spectrum_matrix(40, 30, &[8.0, 4.0, 2.0], 21);
-            // Sparsify: zero out ~70% of entries.
-            for v in m.as_mut_slice().iter_mut() {
-                if rng.gen_range(0.0..1.0) < 0.7 {
-                    *v = 0.0;
-                }
-            }
-            m
-        };
-        let sparse = crate::sparse::CsrMatrix::from_dense(&dense, 0.0).unwrap();
-        let cfg = RsvdConfig {
-            rank: 5,
-            oversample: 5,
-            power_iters: 2,
-        };
-        let ds = rsvd(&dense, cfg, &mut StdRng::seed_from_u64(22)).unwrap();
-        let ss = rsvd_sparse(&sparse, cfg, &mut StdRng::seed_from_u64(22)).unwrap();
-        // Same spectrum (same algorithm, same randomness, different kernels).
-        for (a, b) in ds.s.iter().zip(ss.s.iter()) {
-            assert!((a - b).abs() < 1e-8 * (1.0 + a), "{a} vs {b}");
-        }
-        assert!(ss.u.has_orthonormal_cols(1e-8));
-        assert!(relative_error(&dense, &ss) < relative_error(&dense, &ds) + 1e-8);
-    }
-
-    #[test]
-    fn rsvd_sparse_rejects_zero_rank() {
-        let m = crate::sparse::CsrMatrix::from_triplets(3, 3, &[(0, 0, 1.0)]).unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        assert!(rsvd_sparse(&m, RsvdConfig::new(0), &mut rng).is_err());
     }
 
     #[test]

@@ -5,9 +5,7 @@
 use dtucker_linalg::cholesky::Cholesky;
 use dtucker_linalg::eig::sym_eig;
 use dtucker_linalg::gemm::{gram, matmul};
-use dtucker_linalg::lu::Lu;
 use dtucker_linalg::qr::lstsq;
-use dtucker_linalg::qrcp::numerical_rank;
 use dtucker_linalg::random::gaussian_matrix;
 use dtucker_linalg::svd::{pinv, svd_with, SvdAlgorithm};
 use dtucker_linalg::svd_gr::svd_golub_reinsch;
@@ -60,8 +58,8 @@ fn jacobi_and_golub_reinsch_agree() {
     }
 }
 
-/// det(A) from LU must equal the product of eigenvalues for symmetric A,
-/// and exp(log_det) from Cholesky for SPD A.
+/// exp(log_det) from Cholesky must equal the product of eigenvalues for an
+/// SPD A.
 #[test]
 fn determinants_agree_across_factorizations() {
     let mut rng = StdRng::seed_from_u64(8);
@@ -71,21 +69,16 @@ fn determinants_agree_across_factorizations() {
         let v = spd.get(i, i);
         spd.set(i, i, v + 0.5);
     }
-    let det_lu = Lu::new(&spd).unwrap().det();
     let eig_det: f64 = sym_eig(&spd).unwrap().values.iter().product();
     let chol_det = Cholesky::new(&spd).unwrap().log_det().exp();
     assert!(
-        (det_lu - eig_det).abs() < 1e-8 * det_lu.abs().max(1.0),
-        "{det_lu} vs {eig_det}"
-    );
-    assert!(
-        (det_lu - chol_det).abs() < 1e-8 * det_lu.abs().max(1.0),
-        "{det_lu} vs {chol_det}"
+        (eig_det - chol_det).abs() < 1e-8 * eig_det.abs().max(1.0),
+        "{eig_det} vs {chol_det}"
     );
 }
 
 /// For full-rank overdetermined systems, the pseudo-inverse and QR least
-/// squares give the same solution; for SPD systems, Cholesky and LU agree.
+/// squares give the same solution.
 #[test]
 fn solvers_agree() {
     let a = random(20, 6, 9);
@@ -96,24 +89,9 @@ fn solvers_agree() {
     for (u, v) in x_qr.iter().zip(x_pinv.iter()) {
         assert!((u - v).abs() < 1e-8, "{u} vs {v}");
     }
-
-    let mut rng = StdRng::seed_from_u64(10);
-    let c = gaussian_matrix(12, 8, &mut rng);
-    let mut spd = gram(&c);
-    for i in 0..8 {
-        let v = spd.get(i, i);
-        spd.set(i, i, v + 0.3);
-    }
-    let rhs: Vec<f64> = (0..8).map(|i| i as f64 - 3.0).collect();
-    let x_chol = Cholesky::new(&spd).unwrap().solve_vec(&rhs).unwrap();
-    let x_lu = Lu::new(&spd).unwrap().solve_vec(&rhs).unwrap();
-    for (u, v) in x_chol.iter().zip(x_lu.iter()) {
-        assert!((u - v).abs() < 1e-8);
-    }
 }
 
-/// Rank estimates agree across QRCP and SVD on matrices with controlled
-/// spectra, including noisy near-low-rank cases.
+/// The SVD's rank estimate recovers the rank of exact low-rank products.
 #[test]
 fn rank_estimates_consistent() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -121,7 +99,6 @@ fn rank_estimates_consistent() {
         let u = gaussian_matrix(18, true_rank, &mut rng);
         let v = gaussian_matrix(13, true_rank, &mut rng);
         let a = matmul(&u, &v.transpose());
-        assert_eq!(numerical_rank(&a, 1e-8).unwrap(), true_rank);
         assert_eq!(
             svd_with(&a, SvdAlgorithm::Auto).unwrap().rank(1e-8),
             true_rank

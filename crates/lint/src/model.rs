@@ -15,7 +15,7 @@ pub enum FileClass {
     /// Crates that exist to be executed, not linked against (`bench`,
     /// `lint`). Treated like [`FileClass::Bin`].
     Cli,
-    /// Integration tests and Criterion benches (`tests/`, `benches/`).
+    /// Integration tests and benches (`tests/`, `benches/`).
     Test,
     /// Example programs under `examples/`.
     Example,

@@ -7,7 +7,6 @@ use crate::plan::{plan, QueryPlan};
 use crate::range::Range;
 use dtucker_core::{PhaseProfile, TuckerDecomp};
 use dtucker_linalg::Matrix;
-use dtucker_store::ArtifactStore;
 use dtucker_tensor::ttm::{ttm, ttm_rows};
 use dtucker_tensor::DenseTensor;
 use std::path::Path;
@@ -79,11 +78,6 @@ impl QueryEngine {
         Self::with_cache_bytes(dtucker_store::read_decomposition(path)?, cache_bytes)
     }
 
-    /// Loads a named decomposition from an [`ArtifactStore`].
-    pub fn from_store(store: &ArtifactStore, name: &str) -> Result<Self> {
-        Self::new(store.load_decomposition(name)?)
-    }
-
     /// Shape of the tensor the decomposition approximates.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -97,12 +91,6 @@ impl QueryEngine {
     /// The decomposition being served.
     pub fn decomp(&self) -> &TuckerDecomp {
         &self.decomp
-    }
-
-    /// A reference-counted handle to the decomposition, for building
-    /// further engines over the same model without copying it.
-    pub fn decomp_shared(&self) -> Arc<TuckerDecomp> {
-        Arc::clone(&self.decomp)
     }
 
     /// Cache counter snapshot. Each query probes plan prefixes
@@ -131,11 +119,6 @@ impl QueryEngine {
     /// Accumulated per-phase timings (`plan` / `cache` / `contract`).
     pub fn profile(&self) -> &PhaseProfile {
         &self.profile
-    }
-
-    /// Resets the per-phase timings (cache contents and counters stay).
-    pub fn reset_profile(&mut self) {
-        self.profile = PhaseProfile::new();
     }
 
     /// Reconstructs the hyper-rectangle `range` of the approximated
@@ -297,6 +280,7 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtucker_store::ArtifactStore;
     use dtucker_tensor::random::random_tucker;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -453,8 +437,6 @@ mod tests {
         assert!(p.count("plan") >= 1);
         assert!(p.count("cache") >= 1);
         assert!(p.count("contract") >= 1);
-        e.reset_profile();
-        assert_eq!(e.profile().count("plan"), 0);
     }
 
     #[test]
@@ -472,12 +454,10 @@ mod tests {
         let path = store.save_decomposition("d", &d).unwrap();
 
         let mut by_path = QueryEngine::open(&path).unwrap();
-        let mut by_name = QueryEngine::from_store(&store, "d").unwrap();
         assert_eq!(by_path.shape(), &[6, 5, 4]);
-        assert_eq!(by_name.ranks(), &[2, 2, 2]);
+        assert_eq!(by_path.ranks(), &[2, 2, 2]);
         let v = by_path.element(&[1, 2, 3]).unwrap();
         assert!((v - full.get(&[1, 2, 3])).abs() < 1e-9);
-        assert_eq!(v.to_bits(), by_name.element(&[1, 2, 3]).unwrap().to_bits());
         assert!(QueryEngine::open(dir.join("missing.dts")).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -94,7 +94,8 @@ impl Range {
                 bounds.push((lo, hi));
             } else {
                 let i = term.parse::<usize>().map_err(|e| bad(&e.to_string()))?;
-                bounds.push((i, i + 1));
+                let end = i.checked_add(1).ok_or_else(|| bad("index too large"))?;
+                bounds.push((i, end));
             }
         }
         let r = Range { bounds };
@@ -120,11 +121,6 @@ impl Range {
     /// Number of selected elements.
     pub fn numel(&self) -> usize {
         self.bounds.iter().map(|&(lo, hi)| hi - lo).product()
-    }
-
-    /// Whether the range selects exactly one element.
-    pub fn is_element(&self) -> bool {
-        self.bounds.iter().all(|&(lo, hi)| hi == lo + 1)
     }
 
     /// Checks the range against a tensor shape: matching order, non-empty
@@ -183,7 +179,6 @@ mod tests {
             Range::element(&[1, 2, 3]).bounds(),
             &[(1, 2), (2, 3), (3, 4)]
         );
-        assert!(Range::element(&[1, 2, 3]).is_element());
         assert_eq!(
             Range::fiber(&shape, 1, &[2, 0, 3]).bounds(),
             &[(2, 3), (0, 5), (3, 4)]
@@ -196,7 +191,6 @@ mod tests {
         assert_eq!(r.extents(), vec![2, 5, 1]);
         assert_eq!(r.numel(), 10);
         assert_eq!(r.order(), 3);
-        assert!(!r.is_element());
         r.validate_for(&shape).unwrap();
     }
 

@@ -109,11 +109,6 @@ impl SharedQueryEngine {
         self.query_on(self.rotate(), range)
     }
 
-    /// Reconstructs a single element on the shard `hint % shard_count`.
-    pub fn element_on(&self, hint: usize, index: &[usize]) -> Result<f64> {
-        lock(self.shard(hint)).element(index)
-    }
-
     /// Sum over `range` on the shard `hint % shard_count`.
     pub fn sum_on(&self, hint: usize, range: &Range) -> Result<f64> {
         lock(self.shard(hint)).sum(range)
@@ -234,10 +229,6 @@ mod tests {
             }
         }
         let r = &ranges[0];
-        assert_eq!(
-            shared.element_on(2, &[3, 4, 5]).unwrap().to_bits(),
-            direct.element(&[3, 4, 5]).unwrap().to_bits()
-        );
         assert_eq!(
             shared.mean_on(0, r).unwrap().to_bits(),
             direct.mean(r).unwrap().to_bits()

@@ -12,6 +12,7 @@
 //! for query results.
 
 use dtucker_tensor::DenseTensor;
+use std::fmt::Write;
 
 /// Appends `s` to `out` JSON-escaped (without surrounding quotes).
 pub fn escape_into(out: &mut String, s: &str) {
@@ -23,7 +24,7 @@ pub fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -116,7 +117,8 @@ impl JsonWriter {
     pub fn number_f64(&mut self, v: f64) {
         self.comma();
         if v.is_finite() {
-            self.out.push_str(&format!("{v}"));
+            // Writing into a `String` cannot fail.
+            let _ = write!(self.out, "{v}");
         } else {
             self.out.push_str("null");
         }
@@ -125,7 +127,7 @@ impl JsonWriter {
     /// Writes an unsigned integer value.
     pub fn number_u64(&mut self, v: u64) {
         self.comma();
-        self.out.push_str(&format!("{v}"));
+        let _ = write!(self.out, "{v}");
     }
 
     /// Writes a boolean value.

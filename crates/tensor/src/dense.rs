@@ -194,13 +194,6 @@ impl DenseTensor {
         })
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
@@ -550,11 +543,9 @@ mod tests {
     }
 
     #[test]
-    fn map_and_max_abs() {
-        let mut t = DenseTensor::from_vec(&[2, 2], vec![-1.0, 2.0, -3.0, 0.5]).unwrap();
+    fn max_abs_finds_largest_magnitude() {
+        let t = DenseTensor::from_vec(&[2, 2], vec![-1.0, 2.0, -3.0, 0.5]).unwrap();
         assert_eq!(t.max_abs(), 3.0);
-        t.map_inplace(|v| v * v);
-        assert_eq!(t.as_slice(), &[1.0, 4.0, 9.0, 0.25]);
     }
 
     #[test]

@@ -11,16 +11,6 @@ use dtucker_linalg::qr::orthonormalize;
 use dtucker_linalg::random::{gaussian, gaussian_matrix};
 use rand::Rng;
 
-/// A tensor of i.i.d. uniform entries in `[lo, hi)`.
-pub fn uniform_tensor<R: Rng + ?Sized>(
-    shape: &[usize],
-    lo: f64,
-    hi: f64,
-    rng: &mut R,
-) -> Result<DenseTensor> {
-    DenseTensor::from_fn(shape, |_| rng.gen_range(lo..hi))
-}
-
 /// A tensor of i.i.d. standard normal entries.
 pub fn gaussian_tensor<R: Rng + ?Sized>(shape: &[usize], rng: &mut R) -> Result<DenseTensor> {
     DenseTensor::from_fn(shape, |_| gaussian(rng))
@@ -95,13 +85,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn uniform_in_range() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let t = uniform_tensor(&[4, 5, 2], -1.0, 1.0, &mut rng).unwrap();
-        assert!(t.as_slice().iter().all(|&v| (-1.0..1.0).contains(&v)));
-    }
 
     #[test]
     fn random_tucker_shapes() {

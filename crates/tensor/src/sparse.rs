@@ -165,73 +165,6 @@ impl SparseTensor {
         self.values.iter().map(|&v| v * v).sum()
     }
 
-    /// Permutes the modes (`O(nnz)`): output mode `p` is input mode
-    /// `order[p]`.
-    pub fn permute(&self, order: &[usize]) -> Result<SparseTensor> {
-        let n = self.order();
-        if order.len() != n {
-            return Err(TensorError::ShapeMismatch {
-                op: "SparseTensor::permute",
-                details: format!("permutation {:?} for order-{n} tensor", order),
-            });
-        }
-        let mut seen = vec![false; n];
-        for &p in order {
-            if p >= n || seen[p] {
-                return Err(TensorError::ShapeMismatch {
-                    op: "SparseTensor::permute",
-                    details: format!("{:?} is not a permutation of 0..{n}", order),
-                });
-            }
-            seen[p] = true;
-        }
-        let shape: Vec<usize> = order.iter().map(|&p| self.shape[p]).collect();
-        let mut out = SparseTensor::new(&shape)?;
-        out.values = self.values.clone();
-        out.indices = Vec::with_capacity(self.indices.len());
-        for k in 0..self.nnz() {
-            let idx = &self.indices[k * n..(k + 1) * n];
-            for &p in order {
-                out.indices.push(idx[p]);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Splits the tensor into frontal-slice CSR matrices (`I₁ × I₂`, one
-    /// per combination of the trailing modes, Fortran order) — the input
-    /// format of the sparse D-Tucker approximation phase.
-    pub fn frontal_slices_csr(&self) -> Result<Vec<dtucker_linalg::sparse::CsrMatrix>> {
-        let n = self.order();
-        if n < 2 {
-            return Err(TensorError::InvalidMode { mode: 1, order: n });
-        }
-        let num_slices: usize = if n == 2 {
-            1
-        } else {
-            self.shape[2..].iter().product()
-        };
-        let mut trailing_strides = vec![1usize; n.saturating_sub(2)];
-        for k in 1..trailing_strides.len() {
-            trailing_strides[k] = trailing_strides[k - 1] * self.shape[k + 1];
-        }
-        let mut per_slice: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); num_slices];
-        for (idx, v) in self.iter() {
-            let mut l = 0usize;
-            for (k, &s) in trailing_strides.iter().enumerate() {
-                l += idx[k + 2] * s;
-            }
-            per_slice[l].push((idx[0], idx[1], v));
-        }
-        per_slice
-            .into_iter()
-            .map(|t| {
-                dtucker_linalg::sparse::CsrMatrix::from_triplets(self.shape[0], self.shape[1], &t)
-                    .map_err(Into::into)
-            })
-            .collect()
-    }
-
     /// Memory footprint in bytes (indices + values).
     pub fn memory_bytes(&self) -> usize {
         self.indices.len() * std::mem::size_of::<usize>()
@@ -311,38 +244,6 @@ mod tests {
         let s = SparseTensor::new(&[3, 3]).unwrap();
         assert!(s.ttm_t(&Matrix::zeros(2, 2), 0).is_err());
         assert!(s.ttm_t(&Matrix::zeros(3, 2), 7).is_err());
-    }
-
-    #[test]
-    fn permute_matches_dense_permute() {
-        let x = dense_example();
-        let mut rng = StdRng::seed_from_u64(8);
-        let s = SparseTensor::sample_from_dense(&x, 0.6, &mut rng).unwrap();
-        let order = [2usize, 0, 1];
-        let sp = s.permute(&order).unwrap();
-        let dp = crate::unfold::permute(&s.to_dense().unwrap(), &order).unwrap();
-        assert!(sp.to_dense().unwrap().sub(&dp).unwrap().fro_norm() < 1e-12);
-        assert!(s.permute(&[0, 1]).is_err());
-        assert!(s.permute(&[0, 0, 1]).is_err());
-    }
-
-    #[test]
-    fn frontal_slices_csr_match_dense_slices() {
-        let x = dense_example();
-        let mut rng = StdRng::seed_from_u64(9);
-        let s = SparseTensor::sample_from_dense(&x, 1.0, &mut rng).unwrap();
-        let slices = s.frontal_slices_csr().unwrap();
-        assert_eq!(slices.len(), 2);
-        for (l, sl) in slices.iter().enumerate() {
-            let dense_slice = x.frontal_slice(l).unwrap();
-            assert!(sl.to_dense().approx_eq(&dense_slice, 1e-12), "slice {l}");
-        }
-        // Order-2 sparse tensor: a single slice.
-        let mut m = SparseTensor::new(&[3, 4]).unwrap();
-        m.push(&[2, 3], 7.0).unwrap();
-        let sl = m.frontal_slices_csr().unwrap();
-        assert_eq!(sl.len(), 1);
-        assert_eq!(sl[0].to_dense().get(2, 3), 7.0);
     }
 
     #[test]
