@@ -3,7 +3,7 @@
 use crate::config::DTuckerConfig;
 use crate::error::{CoreError, Result};
 use crate::init::initialize_threaded;
-use crate::iterate::{iterate, iterate_from, SweepHook, SweepState};
+use crate::iterate::{iterate_from, SweepHook, SweepState};
 use crate::slices::SlicedTensor;
 use crate::trace::ConvergenceTrace;
 use crate::tucker::TuckerDecomp;
@@ -124,41 +124,7 @@ impl DTucker {
         sliced: &SlicedTensor,
         strategy: InitStrategy,
     ) -> Result<DTuckerOutput> {
-        let perm = sliced.perm().to_vec();
-        let ranks_int: Vec<usize> = perm.iter().map(|&p| self.cfg.ranks[p]).collect();
-
-        let t1 = Instant::now();
-        let init_factors = match strategy {
-            InitStrategy::DTucker => {
-                initialize_threaded(sliced, &ranks_int, self.cfg.threads)?.factors
-            }
-            InitStrategy::Random => {
-                let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xD7CE);
-                sliced
-                    .shape()
-                    .iter()
-                    .zip(ranks_int.iter())
-                    .map(|(&i, &j)| orthonormalize(&gaussian_matrix(i, j, &mut rng)))
-                    .collect()
-            }
-        };
-        let initialization = t1.elapsed();
-
-        let t2 = Instant::now();
-        let iter_out = iterate(sliced, &ranks_int, init_factors, &self.cfg)?;
-        let iteration = t2.elapsed();
-
-        let decomposition = internal_to_original(&perm, iter_out.factors, iter_out.core)?;
-        Ok(DTuckerOutput {
-            decomposition,
-            trace: iter_out.trace,
-            timings: PhaseTimings {
-                approximation: Duration::ZERO,
-                initialization,
-                iteration,
-            },
-            sliced: sliced.clone(),
-        })
+        self.run(sliced, Start::Init(strategy), &mut |_| Ok(()))
     }
 
     /// Checkpointable variant of [`Self::decompose_sliced`]: the iteration
@@ -173,14 +139,40 @@ impl DTucker {
         resume: Option<SweepState>,
         on_sweep: &mut SweepHook<'_>,
     ) -> Result<DTuckerOutput> {
+        let start = resume.map_or(Start::Init(InitStrategy::DTucker), Start::Resume);
+        self.run(sliced, start, on_sweep)
+    }
+
+    /// Initialization (or resume-state check) and iteration on a
+    /// pre-compressed tensor, mapped back to the original mode order.
+    fn run(
+        &self,
+        sliced: &SlicedTensor,
+        start: Start,
+        on_sweep: &mut SweepHook<'_>,
+    ) -> Result<DTuckerOutput> {
         let perm = sliced.perm().to_vec();
         let ranks_int: Vec<usize> = perm.iter().map(|&p| self.cfg.ranks[p]).collect();
 
         let t1 = Instant::now();
-        let state = match resume {
-            Some(state) => {
+        let state = match start {
+            Start::Init(InitStrategy::DTucker) => SweepState::fresh(
+                initialize_threaded(sliced, &ranks_int, self.cfg.threads)?.factors,
+            ),
+            Start::Init(InitStrategy::Random) => {
+                let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xD7CE);
+                SweepState::fresh(
+                    sliced
+                        .shape()
+                        .iter()
+                        .zip(ranks_int.iter())
+                        .map(|(&i, &j)| orthonormalize(&gaussian_matrix(i, j, &mut rng)))
+                        .collect(),
+                )
+            }
+            Start::Resume(state) => {
                 if state.factors.len() != perm.len() {
-                    return Err(crate::error::CoreError::InvalidConfig {
+                    return Err(CoreError::InvalidConfig {
                         details: format!(
                             "resume state has {} factors for an order-{} tensor",
                             state.factors.len(),
@@ -195,7 +187,7 @@ impl DTucker {
                     .enumerate()
                 {
                     if f.shape() != (i, j) {
-                        return Err(crate::error::CoreError::InvalidConfig {
+                        return Err(CoreError::InvalidConfig {
                             details: format!(
                                 "resume factor {m} is {:?}, expected ({i}, {j})",
                                 f.shape()
@@ -205,9 +197,6 @@ impl DTucker {
                 }
                 state
             }
-            None => SweepState::fresh(
-                initialize_threaded(sliced, &ranks_int, self.cfg.threads)?.factors,
-            ),
         };
         let initialization = t1.elapsed();
 
@@ -227,6 +216,14 @@ impl DTucker {
             sliced: sliced.clone(),
         })
     }
+}
+
+/// Where [`DTucker`]'s iteration phase starts.
+enum Start {
+    /// From factors the given strategy initializes.
+    Init(InitStrategy),
+    /// From a state restored from a checkpoint.
+    Resume(SweepState),
 }
 
 /// Automatic rank selection: finds the smallest uniform rank `J ≤ max_rank`

@@ -13,7 +13,7 @@ use dtucker_linalg::matrix::Matrix;
 use dtucker_linalg::pool;
 use dtucker_linalg::rsvd::{rsvd, RsvdConfig};
 use dtucker_linalg::svd::{scale_cols, svd, truncated_svd_gram};
-use dtucker_tensor::dense::DenseTensor;
+use dtucker_tensor::dense::{checked_num_elements, DenseTensor};
 use dtucker_tensor::unfold::{descending_mode_order, inverse_permutation, permute};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -157,6 +157,12 @@ impl SlicedTensor {
             }
             seen[p] = true;
         }
+        // The whole shape's count bounds its trailing modes' slice count.
+        if checked_num_elements(&shape).is_none() {
+            return Err(invalid(format!(
+                "sliced shape {shape:?} overflows the element count"
+            )));
+        }
         let expected: usize = shape[2..].iter().product();
         if slices.len() != expected {
             return Err(invalid(format!(
@@ -289,12 +295,7 @@ impl SlicedTensor {
                 });
             }
         }
-        let internal = permute(block, &self.perm)?;
-        let new_slices = compress_slices(&internal, self.slice_rank, cfg, self.slices.len())?;
-        self.slices.extend(new_slices);
-        self.shape[n - 1] += block.shape()[n - 1];
-        self.norm_x_sq += block.fro_norm_sq();
-        Ok(())
+        self.append_source(&mut InMemorySource::with_perm(block, &self.perm)?, cfg)
     }
 
     /// Appends a block presented through a [`SliceSource`] that already
@@ -330,27 +331,6 @@ impl SlicedTensor {
         self.norm_x_sq += src.fro_norm_sq()?;
         Ok(())
     }
-}
-
-/// Compresses every frontal slice of `internal`, fanning out across the
-/// shared worker pool (`cfg.threads` resolved through the pool policy;
-/// `0` means auto). Per-slice RNG seeds are derived from `cfg.seed` and
-/// the **global** slice index (`index_offset + l`), so results are
-/// identical for any thread count.
-fn compress_slices(
-    internal: &DenseTensor,
-    k: usize,
-    cfg: &DTuckerConfig,
-    index_offset: usize,
-) -> Result<Vec<SliceSvd>> {
-    let num = internal.num_frontal_slices();
-    let threads = pool::resolve_threads(cfg.threads).min(num);
-    pool::parallel_map(num, threads, |l| {
-        let m = internal.frontal_slice(l)?;
-        compress_one(&m, k, cfg, slice_seed(cfg.seed, index_offset + l))
-    })
-    .into_iter()
-    .collect()
 }
 
 /// Compresses slices `[index_offset, index_offset + num)` drawn from a

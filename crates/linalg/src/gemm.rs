@@ -15,7 +15,6 @@
 //! derived from tensor metadata), so like slice indexing these functions
 //! panic on mismatch.
 
-use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::pool;
 
@@ -249,44 +248,6 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Range-GEMM: `A[r0..r1, :] * B` without materializing the row slice —
-/// the row range of a row-major matrix is a contiguous buffer window, so
-/// the packed kernel reads it in place. This is the building block of
-/// factored range queries, where a contraction touches only the requested
-/// rows of a factor matrix.
-///
-/// Returns an error if `a.cols() != b.rows()` or the range is not
-/// `r0 <= r1 <= a.rows()`.
-pub fn matmul_row_range(a: &Matrix, r0: usize, r1: usize, b: &Matrix) -> Result<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul_row_range",
-            details: format!("{:?} * {:?}", a.shape(), b.shape()),
-        });
-    }
-    if r0 > r1 || r1 > a.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul_row_range",
-            details: format!("rows {r0}..{r1} out of range for {:?}", a.shape()),
-        });
-    }
-    let (m, n, p) = (r1 - r0, a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, p);
-    if m == 0 {
-        return Ok(c);
-    }
-    matmul_into_threaded(
-        &a.as_slice()[r0 * n..r1 * n],
-        b.as_slice(),
-        c.as_mut_slice(),
-        m,
-        n,
-        p,
-        pool::threads_for_flops(2 * m * n * p),
-    );
-    Ok(c)
-}
-
 /// `Aᵀ * B`. Panics if `a.rows() != b.rows()`.
 pub fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
@@ -339,21 +300,16 @@ pub fn matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Raw-slice GEMM: `c (m×p) += a (m×n) · b (n×p)`, all row-major.
+/// Raw-slice GEMM: `c (m×p) += a (m×n) · b (n×p)`, all row-major, with
+/// the row split spread over `nthreads` pool threads.
 ///
 /// This is the batched-product entry point used by tensor n-mode products,
 /// where operands are contiguous windows of a tensor buffer rather than
 /// owned [`Matrix`] values. `c` must be zero-initialized by the caller if a
-/// plain product (not an accumulation) is wanted. Runs serial — batched
-/// callers own the parallelism ([`matmul_into_threaded`] is the threaded
-/// form).
+/// plain product (not an accumulation) is wanted; batched callers that own
+/// the parallelism pass `nthreads = 1`.
 ///
 /// Panics if the slice lengths disagree with `(m, n, p)`.
-pub fn matmul_into(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, p: usize) {
-    matmul_into_threaded(a, b, c, m, n, p, 1);
-}
-
-/// [`matmul_into`] with the row split spread over `nthreads` pool threads.
 pub fn matmul_into_threaded(
     a: &[f64],
     b: &[f64],
@@ -363,21 +319,16 @@ pub fn matmul_into_threaded(
     p: usize,
     nthreads: usize,
 ) {
-    assert_eq!(a.len(), m * n, "matmul_into: bad lhs length");
-    assert_eq!(b.len(), n * p, "matmul_into: bad rhs length");
-    assert_eq!(c.len(), m * p, "matmul_into: bad out length");
+    assert_eq!(a.len(), m * n, "matmul_into_threaded: bad lhs length");
+    assert_eq!(b.len(), n * p, "matmul_into_threaded: bad rhs length");
+    assert_eq!(c.len(), m * p, "matmul_into_threaded: bad out length");
     let bp = pack_b(b, n, p);
     gemm_driver(ASource::Rows { data: a, stride: n }, &bp, c, m, nthreads);
 }
 
 /// Raw-slice transposed GEMM: `c (n×p) += aᵀ · b` for row-major
-/// `a (m×n)`, `b (m×p)`. See [`matmul_into`] for the calling convention.
-pub fn t_matmul_into(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, p: usize) {
-    t_matmul_into_threaded(a, b, c, m, n, p, 1);
-}
-
-/// [`t_matmul_into`] with the row split spread over `nthreads` pool
-/// threads.
+/// `a (m×n)`, `b (m×p)`, over `nthreads` pool threads. See
+/// [`matmul_into_threaded`] for the calling convention.
 pub fn t_matmul_into_threaded(
     a: &[f64],
     b: &[f64],
@@ -387,9 +338,9 @@ pub fn t_matmul_into_threaded(
     p: usize,
     nthreads: usize,
 ) {
-    assert_eq!(a.len(), m * n, "t_matmul_into: bad lhs length");
-    assert_eq!(b.len(), m * p, "t_matmul_into: bad rhs length");
-    assert_eq!(c.len(), n * p, "t_matmul_into: bad out length");
+    assert_eq!(a.len(), m * n, "t_matmul_into_threaded: bad lhs length");
+    assert_eq!(b.len(), m * p, "t_matmul_into_threaded: bad rhs length");
+    assert_eq!(c.len(), n * p, "t_matmul_into_threaded: bad out length");
     let bp = pack_b(b, m, p);
     gemm_driver(ASource::Cols { data: a, stride: n }, &bp, c, n, nthreads);
 }
@@ -486,23 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_row_range_matches_submatrix() {
-        let a = random(23, 11, 3);
-        let b = random(11, 6, 4);
-        for &(r0, r1) in &[(0usize, 23usize), (5, 9), (0, 1), (22, 23), (7, 7)] {
-            let fast = matmul_row_range(&a, r0, r1, &b).unwrap();
-            let slow = matmul(&a.submatrix(r0, r1, 0, a.cols()), &b);
-            assert_eq!(fast.shape(), (r1 - r0, 6));
-            // Same kernel over the same contiguous bytes: bit-identical.
-            assert_eq!(fast.as_slice(), slow.as_slice(), "{r0}..{r1}");
-        }
-        // Bad shapes and ranges are typed errors, not panics.
-        assert!(matmul_row_range(&a, 0, 2, &random(7, 3, 5)).is_err());
-        assert!(matmul_row_range(&a, 9, 5, &b).is_err());
-        assert!(matmul_row_range(&a, 0, 24, &b).is_err());
-    }
-
-    #[test]
     fn matmul_handles_tile_edges() {
         // Shapes chosen to hit every remainder of the MR×NR tile and a
         // KC-boundary straddle.
@@ -583,17 +517,16 @@ mod tests {
         let a = random(m, n, 12);
         let b = random(n, p, 13);
         let mut c = vec![1.0; m * p];
-        matmul_into(a.as_slice(), b.as_slice(), &mut c, m, n, p);
+        matmul_into_threaded(a.as_slice(), b.as_slice(), &mut c, m, n, p, 1);
         let expected = matmul(&a, &b);
         for i in 0..m * p {
             assert!((c[i] - 1.0 - expected.as_slice()[i]).abs() < 1e-12);
         }
 
-        let at = a.transpose(); // n×m, so atᵀ·b is m×... use t_matmul_into on a
         let bt = random(m, p, 14);
         let mut ct = vec![-2.0; n * p];
-        t_matmul_into(a.as_slice(), bt.as_slice(), &mut ct, m, n, p);
-        let expected_t = matmul(&at, &bt);
+        t_matmul_into_threaded(a.as_slice(), bt.as_slice(), &mut ct, m, n, p, 1);
+        let expected_t = matmul(&a.transpose(), &bt);
         for i in 0..n * p {
             assert!((ct[i] + 2.0 - expected_t.as_slice()[i]).abs() < 1e-12);
         }
@@ -605,14 +538,14 @@ mod tests {
         let a = random(m, n, 15);
         let b = random(n, p, 16);
         let mut serial = vec![0.0; m * p];
-        matmul_into(a.as_slice(), b.as_slice(), &mut serial, m, n, p);
+        matmul_into_threaded(a.as_slice(), b.as_slice(), &mut serial, m, n, p, 1);
         let mut threaded = vec![0.0; m * p];
         matmul_into_threaded(a.as_slice(), b.as_slice(), &mut threaded, m, n, p, 4);
         assert!(serial == threaded);
 
         let bt = random(m, p, 17);
         let mut serial_t = vec![0.0; n * p];
-        t_matmul_into(a.as_slice(), bt.as_slice(), &mut serial_t, m, n, p);
+        t_matmul_into_threaded(a.as_slice(), bt.as_slice(), &mut serial_t, m, n, p, 1);
         let mut threaded_t = vec![0.0; n * p];
         t_matmul_into_threaded(a.as_slice(), bt.as_slice(), &mut threaded_t, m, n, p, 3);
         assert!(serial_t == threaded_t);

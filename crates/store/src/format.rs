@@ -33,7 +33,7 @@ use bytes::BufMut;
 use dtucker_core::slices::{SliceSvd, SlicedTensor};
 use dtucker_core::tucker::TuckerDecomp;
 use dtucker_linalg::matrix::Matrix;
-use dtucker_tensor::dense::DenseTensor;
+use dtucker_tensor::dense::{checked_num_elements, DenseTensor};
 
 /// Container magic.
 pub const MAGIC: &[u8; 4] = b"DTAR";
@@ -249,12 +249,8 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn tensor(&mut self, what: &str) -> Result<DenseTensor> {
         let shape = self.usize_vec(&format!("{what} shape"))?;
-        let mut numel: usize = 1;
-        for &d in &shape {
-            numel = numel
-                .checked_mul(d)
-                .ok_or_else(|| StoreError::Format(format!("{what} shape overflows")))?;
-        }
+        let numel = checked_num_elements(&shape)
+            .ok_or_else(|| StoreError::Format(format!("{what} shape overflows")))?;
         let data = self.f64_vec_exact(numel, what)?;
         DenseTensor::from_vec(&shape, data).map_err(StoreError::Tensor)
     }

@@ -21,7 +21,7 @@ use dtucker_core::source::SliceSource;
 use dtucker_core::Result as CoreResult;
 use dtucker_linalg::matrix::Matrix;
 use dtucker_linalg::norms::FroNormAccumulator;
-use dtucker_tensor::io::{header_len, read_header};
+use dtucker_tensor::io::{file_len, header_len, read_header};
 use dtucker_tensor::unfold::descending_mode_order;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
@@ -85,9 +85,13 @@ impl DtenSliceSource {
         }
         // Validate the payload length once so later reads can't run off the
         // end of a truncated file.
-        let numel: u64 = orig.iter().map(|&d| d as u64).product();
         let data_offset = header_len(order);
-        let expected = data_offset + numel * 8;
+        let expected = file_len(&orig).ok_or_else(|| {
+            StoreError::Format(format!(
+                "{}: shape {orig:?} overflows the element count",
+                path.display()
+            ))
+        })?;
         let actual = file.metadata()?.len();
         if actual != expected {
             return Err(StoreError::Format(format!(

@@ -24,6 +24,12 @@ pub fn num_elements(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
+/// [`num_elements`] for shapes read from untrusted bytes: `None` when the
+/// product overflows `usize`.
+pub fn checked_num_elements(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
 impl DenseTensor {
     /// Creates a zero tensor of the given shape.
     ///

@@ -10,7 +10,7 @@
 //! data    numel × f64   (Fortran element order)
 //! ```
 
-use crate::dense::{num_elements, DenseTensor};
+use crate::dense::{checked_num_elements, num_elements, DenseTensor};
 use crate::error::{Result, TensorError};
 use bytes::{Buf, BufMut};
 use std::fs::File;
@@ -42,43 +42,22 @@ pub fn to_bytes(t: &DenseTensor) -> Vec<u8> {
     buf
 }
 
+/// Byte length of a whole `.dten` file holding a tensor of `shape`, or
+/// `None` when it does not fit in a `u64` (a corrupt or hostile header).
+pub fn file_len(shape: &[usize]) -> Option<u64> {
+    let numel = u64::try_from(checked_num_elements(shape)?).ok()?;
+    numel.checked_mul(8)?.checked_add(header_len(shape.len()))
+}
+
 /// Deserializes a tensor from bytes produced by [`to_bytes`].
 pub fn from_bytes(mut buf: &[u8]) -> Result<DenseTensor> {
-    if buf.remaining() < 12 {
-        return Err(TensorError::Format("truncated header".into()));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(TensorError::Format(format!("bad magic {magic:?}")));
-    }
-    let version = buf.get_u32_le();
-    if version != VERSION {
-        return Err(TensorError::Format(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let order = buf.get_u32_le() as usize;
-    if order == 0 || order > 16 {
-        return Err(TensorError::Format(format!("implausible order {order}")));
-    }
-    if buf.remaining() < order * 8 {
-        return Err(TensorError::Format("truncated dims".into()));
-    }
-    let mut shape = Vec::with_capacity(order);
-    for _ in 0..order {
-        let d = buf.get_u64_le() as usize;
-        if d == 0 {
-            return Err(TensorError::Format("zero dimension".into()));
-        }
-        shape.push(d);
-    }
+    let shape = read_header(&mut buf)?;
     let n = num_elements(&shape);
-    if buf.remaining() != n * 8 {
+    let expected = n as u64 * 8;
+    if buf.remaining() as u64 != expected {
         return Err(TensorError::Format(format!(
-            "payload has {} bytes, expected {}",
-            buf.remaining(),
-            n * 8
+            "payload has {} bytes, expected {expected}",
+            buf.remaining()
         )));
     }
     let mut data = Vec::with_capacity(n);
@@ -91,7 +70,9 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<DenseTensor> {
 /// Reads and validates a `.dten` header from a reader positioned at the
 /// start of the file, returning the shape. After this call the reader is
 /// positioned at the f64 payload (offset [`header_len`]). Out-of-core
-/// readers use this to learn the shape without loading the data.
+/// readers use this to learn the shape without loading the data. A shape
+/// whose [`file_len`] overflows is a format error, so callers may size the
+/// payload with unchecked arithmetic.
 pub fn read_header(r: &mut impl Read) -> Result<Vec<usize>> {
     let mut head = [0u8; 12];
     read_exact_or(r, &mut head, "header")?;
@@ -116,11 +97,17 @@ pub fn read_header(r: &mut impl Read) -> Result<Vec<usize>> {
     let mut buf = &dims[..];
     let mut shape = Vec::with_capacity(order);
     for _ in 0..order {
-        let d = buf.get_u64_le() as usize;
+        let d = usize::try_from(buf.get_u64_le())
+            .map_err(|_| TensorError::Format("dimension overflows usize".into()))?;
         if d == 0 {
             return Err(TensorError::Format("zero dimension".into()));
         }
         shape.push(d);
+    }
+    if file_len(&shape).is_none() {
+        return Err(TensorError::Format(format!(
+            "shape {shape:?} overflows the element count"
+        )));
     }
     Ok(shape)
 }

@@ -6,7 +6,8 @@
 //!   slices (the unit of D-Tucker's compression) are contiguous;
 //! * [`unfold`] — Kolda-convention mode-n matricization, folding, mode
 //!   permutation;
-//! * [`ttm`] — n-mode products as batched GEMMs over buffer windows;
+//! * [`ttm`] — n-mode products (`ttm`, `ttm_t`, and `ttm_rows` over a
+//!   factor row window), all one batched GEMM loop over buffer windows;
 //! * [`sparse::SparseTensor`] — COO tensors for the MACH baseline;
 //! * [`random`] — generic random/low-rank tensor generators;
 //! * [`io`] — a small self-describing binary format.

@@ -5,6 +5,10 @@
 //! `right` contiguous blocks that are row-major `Iₙ × left` matrices, so the
 //! product is a batch of GEMMs over buffer windows.
 //!
+//! `ttm`, `ttm_t` and `ttm_rows` differ only in how the `J × Iₙ` left
+//! operand is read (a row window of `A`, or the transpose of a factor), so
+//! all three run the same batched contraction.
+//!
 //! Large contractions fan out across the shared worker pool: the batch of
 //! `right` independent GEMMs is split block-wise (bit-identical for any
 //! thread count since each output block is computed by exactly one worker),
@@ -12,129 +16,21 @@
 
 use crate::dense::DenseTensor;
 use crate::error::{Result, TensorError};
-use dtucker_linalg::gemm::{matmul_into, matmul_into_threaded, t_matmul_into_threaded};
+use dtucker_linalg::gemm::{matmul_into_threaded, t_matmul_into_threaded};
 use dtucker_linalg::matrix::Matrix;
 use dtucker_linalg::pool;
 
 /// Computes `X ×ₙ A` where `A ∈ R^{J×Iₙ}` (contracting `A`'s columns with
 /// mode `n`). The result has mode `n` of size `J`.
 pub fn ttm(x: &DenseTensor, a: &Matrix, mode: usize) -> Result<DenseTensor> {
-    let shape = x.shape();
-    let order = shape.len();
-    if mode >= order {
-        return Err(TensorError::InvalidMode { mode, order });
-    }
-    let i_n = shape[mode];
-    if a.cols() != i_n {
-        return Err(TensorError::ShapeMismatch {
-            op: "ttm",
-            details: format!(
-                "matrix {:?} cannot contract mode {mode} of {:?}",
-                a.shape(),
-                shape
-            ),
-        });
-    }
-    let j = a.rows();
-    if j == 0 {
-        return Err(TensorError::ShapeMismatch {
-            op: "ttm",
-            details: "matrix with zero rows".into(),
-        });
-    }
-    let left: usize = shape[..mode].iter().product();
-    let right: usize = shape[mode + 1..].iter().product();
-
-    let mut out_shape = shape.to_vec();
-    out_shape[mode] = j;
-    let mut out = DenseTensor::zeros(&out_shape)?;
-
-    let xin = x.as_slice();
-    let xout = out.as_mut_slice();
-    let in_block = i_n * left;
-    let out_block = j * left;
-    let nthreads = pool::threads_for_flops(2 * j * i_n * left * right);
-    if right == 1 {
-        // One big GEMM: let it split internally by output rows.
-        matmul_into_threaded(a.as_slice(), xin, xout, j, i_n, left, nthreads);
-    } else {
-        // Input block r is a row-major Iₙ × left matrix; output block is
-        // row-major J × left. Blocks are independent, so the batch fans out
-        // across the pool block-wise.
-        pool::parallel_chunks(xout, out_block, nthreads, |r0, chunk| {
-            for (b, cblk) in chunk.chunks_exact_mut(out_block).enumerate() {
-                let r = r0 + b;
-                matmul_into(
-                    a.as_slice(),
-                    &xin[r * in_block..(r + 1) * in_block],
-                    cblk,
-                    j,
-                    i_n,
-                    left,
-                );
-            }
-        });
-    }
-    Ok(out)
+    contract("ttm", x, a, Lhs::Rows(0, a.rows()), mode)
 }
 
 /// Computes `X ×ₙ Aᵀ` where `A ∈ R^{Iₙ×J}` is a factor matrix (contracting
 /// `A`'s **rows** with mode `n`). This is the HOOI projection step
 /// `X ×ₙ A⁽ⁿ⁾ᵀ` without forming the transpose.
 pub fn ttm_t(x: &DenseTensor, a: &Matrix, mode: usize) -> Result<DenseTensor> {
-    let shape = x.shape();
-    let order = shape.len();
-    if mode >= order {
-        return Err(TensorError::InvalidMode { mode, order });
-    }
-    let i_n = shape[mode];
-    if a.rows() != i_n {
-        return Err(TensorError::ShapeMismatch {
-            op: "ttm_t",
-            details: format!(
-                "matrix {:?} cannot contract mode {mode} of {:?}",
-                a.shape(),
-                shape
-            ),
-        });
-    }
-    let j = a.cols();
-    if j == 0 {
-        return Err(TensorError::ShapeMismatch {
-            op: "ttm_t",
-            details: "matrix with zero cols".into(),
-        });
-    }
-    let left: usize = shape[..mode].iter().product();
-    let right: usize = shape[mode + 1..].iter().product();
-
-    let mut out_shape = shape.to_vec();
-    out_shape[mode] = j;
-    let mut out = DenseTensor::zeros(&out_shape)?;
-
-    let xin = x.as_slice();
-    let xout = out.as_mut_slice();
-    let in_block = i_n * left;
-    let out_block = j * left;
-    let nthreads = pool::threads_for_flops(2 * j * i_n * left * right);
-    if right == 1 {
-        t_matmul_into_threaded(a.as_slice(), xin, xout, i_n, j, left, nthreads);
-    } else {
-        pool::parallel_chunks(xout, out_block, nthreads, |r0, chunk| {
-            for (b, cblk) in chunk.chunks_exact_mut(out_block).enumerate() {
-                let r = r0 + b;
-                dtucker_linalg::gemm::t_matmul_into(
-                    a.as_slice(),
-                    &xin[r * in_block..(r + 1) * in_block],
-                    cblk,
-                    i_n,
-                    j,
-                    left,
-                );
-            }
-        });
-    }
-    Ok(out)
+    contract("ttm_t", x, a, Lhs::Trans, mode)
 }
 
 /// Computes `X ×ₙ A[r0..r1, :]` — the n-mode product with a **row range**
@@ -152,15 +48,40 @@ pub fn ttm_rows(
     r1: usize,
     mode: usize,
 ) -> Result<DenseTensor> {
+    contract("ttm_rows", x, a, Lhs::Rows(r0, r1), mode)
+}
+
+/// How the left operand `L ∈ R^{J×Iₙ}` of `X ×ₙ L` is read from `A`.
+#[derive(Clone, Copy)]
+enum Lhs {
+    /// `L = A[r0..r1, :]` for a row-major `A ∈ R^{·×Iₙ}`.
+    Rows(usize, usize),
+    /// `L = Aᵀ` for a row-major factor `A ∈ R^{Iₙ×J}`.
+    Trans,
+}
+
+/// The one n-mode product behind [`ttm`], [`ttm_t`] and [`ttm_rows`].
+fn contract(
+    op: &'static str,
+    x: &DenseTensor,
+    a: &Matrix,
+    lhs: Lhs,
+    mode: usize,
+) -> Result<DenseTensor> {
     let shape = x.shape();
     let order = shape.len();
     if mode >= order {
         return Err(TensorError::InvalidMode { mode, order });
     }
     let i_n = shape[mode];
-    if a.cols() != i_n {
+    // Columns of `L` (must be Iₙ), rows `L` may take, and the rows it does.
+    let (contracted, available, (r0, r1)) = match lhs {
+        Lhs::Rows(r0, r1) => (a.cols(), a.rows(), (r0, r1)),
+        Lhs::Trans => (a.rows(), a.cols(), (0, a.cols())),
+    };
+    if contracted != i_n {
         return Err(TensorError::ShapeMismatch {
-            op: "ttm_rows",
+            op,
             details: format!(
                 "matrix {:?} cannot contract mode {mode} of {:?}",
                 a.shape(),
@@ -168,14 +89,13 @@ pub fn ttm_rows(
             ),
         });
     }
-    if r0 >= r1 || r1 > a.rows() {
+    if r0 >= r1 || r1 > available {
         return Err(TensorError::ShapeMismatch {
-            op: "ttm_rows",
-            details: format!("rows {r0}..{r1} invalid for matrix {:?}", a.shape()),
+            op,
+            details: format!("output rows {r0}..{r1} invalid for matrix {:?}", a.shape()),
         });
     }
     let j = r1 - r0;
-    let rows = &a.as_slice()[r0 * i_n..r1 * i_n];
     let left: usize = shape[..mode].iter().product();
     let right: usize = shape[mode + 1..].iter().product();
 
@@ -183,61 +103,34 @@ pub fn ttm_rows(
     out_shape[mode] = j;
     let mut out = DenseTensor::zeros(&out_shape)?;
 
+    // Input block r is a row-major Iₙ × left matrix; output block r is
+    // row-major J × left, the product of `L` with input block r.
+    let a = a.as_slice();
+    let gemm = |xblk: &[f64], yblk: &mut [f64], nthreads: usize| match lhs {
+        Lhs::Rows(..) => {
+            matmul_into_threaded(&a[r0 * i_n..r1 * i_n], xblk, yblk, j, i_n, left, nthreads)
+        }
+        Lhs::Trans => t_matmul_into_threaded(a, xblk, yblk, i_n, j, left, nthreads),
+    };
     let xin = x.as_slice();
     let xout = out.as_mut_slice();
     let in_block = i_n * left;
     let out_block = j * left;
     let nthreads = pool::threads_for_flops(2 * j * i_n * left * right);
     if right == 1 {
-        matmul_into_threaded(rows, xin, xout, j, i_n, left, nthreads);
+        // One big GEMM: let it split internally by output rows.
+        gemm(xin, xout, nthreads);
     } else {
-        pool::parallel_chunks(xout, out_block, nthreads, |r0b, chunk| {
-            for (b, cblk) in chunk.chunks_exact_mut(out_block).enumerate() {
-                let r = r0b + b;
-                matmul_into(
-                    rows,
-                    &xin[r * in_block..(r + 1) * in_block],
-                    cblk,
-                    j,
-                    i_n,
-                    left,
-                );
+        // Blocks are independent, so the batch fans out across the pool
+        // block-wise and each GEMM runs serial.
+        pool::parallel_chunks(xout, out_block, nthreads, |b0, chunk| {
+            for (b, yblk) in chunk.chunks_exact_mut(out_block).enumerate() {
+                let r = b0 + b;
+                gemm(&xin[r * in_block..(r + 1) * in_block], yblk, 1);
             }
         });
     }
     Ok(out)
-}
-
-/// Tensor-times-vector: contracts mode `n` with a vector of length `Iₙ`,
-/// dropping that mode. `ttv(x, v, n)[..] = Σ_{iₙ} v[iₙ]·x[.., iₙ, ..]`.
-pub fn ttv(x: &DenseTensor, v: &[f64], mode: usize) -> Result<DenseTensor> {
-    let shape = x.shape();
-    let order = shape.len();
-    if mode >= order {
-        return Err(TensorError::InvalidMode { mode, order });
-    }
-    if order == 1 {
-        return Err(TensorError::ShapeMismatch {
-            op: "ttv",
-            details: "cannot drop the only mode of an order-1 tensor".into(),
-        });
-    }
-    if v.len() != shape[mode] {
-        return Err(TensorError::ShapeMismatch {
-            op: "ttv",
-            details: format!(
-                "vector length {} vs mode {mode} size {}",
-                v.len(),
-                shape[mode]
-            ),
-        });
-    }
-    let row = Matrix::from_vec(1, v.len(), v.to_vec())?;
-    let contracted = ttm(x, &row, mode)?;
-    // Drop the singleton mode.
-    let mut new_shape: Vec<usize> = contracted.shape().to_vec();
-    new_shape.remove(mode);
-    contracted.reshape(&new_shape)
 }
 
 /// Applies `X ×ₖ A⁽ᵏ⁾ᵀ` for every `(k, A⁽ᵏ⁾)` pair, skipping mode
@@ -387,33 +280,6 @@ mod tests {
         }
         assert!(ttm_rows(&x, &Matrix::zeros(2, 9), 0, 1, 0).is_err());
         assert!(ttm_rows(&x, &Matrix::zeros(2, 4), 0, 1, 5).is_err());
-    }
-
-    #[test]
-    fn ttv_contracts_and_drops_mode() {
-        let x = random_tensor(&[4, 3, 5], 9);
-        let v = vec![1.0, -1.0, 0.5];
-        let y = ttv(&x, &v, 1).unwrap();
-        assert_eq!(y.shape(), &[4, 5]);
-        for i in 0..4 {
-            for k in 0..5 {
-                let expected: f64 = (0..3).map(|j| v[j] * x.get(&[i, j, k])).sum();
-                assert!((y.get(&[i, k]) - expected).abs() < 1e-12);
-            }
-        }
-        assert!(ttv(&x, &[1.0, 2.0], 1).is_err());
-        assert!(ttv(&x, &v, 5).is_err());
-    }
-
-    #[test]
-    fn ttv_all_ones_is_mode_sum() {
-        let x = random_tensor(&[3, 4], 10);
-        let y = ttv(&x, &[1.0; 3], 0).unwrap();
-        assert_eq!(y.shape(), &[4]);
-        for j in 0..4 {
-            let expected: f64 = (0..3).map(|i| x.get(&[i, j])).sum();
-            assert!((y.get(&[j]) - expected).abs() < 1e-12);
-        }
     }
 
     #[test]

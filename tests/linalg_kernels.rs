@@ -1,13 +1,19 @@
-//! Regression pins for the two dense kernels behind decomposition time:
-//! the leading-`k` symmetric eigensolver that the Gram-matrix SVD routes
-//! use, checked against the full solver, and the row-oriented Householder
-//! QR, checked bit for bit against the column-at-a-time loop it replaced.
+//! Regression pins for the dense kernels behind decomposition and query
+//! time: the leading-`k` symmetric eigensolver that the Gram-matrix SVD
+//! routes use, checked against the full solver; the row-oriented
+//! Householder QR, checked bit for bit against the column-at-a-time loop
+//! it replaced; and the n-mode products `ttm` / `ttm_t` / `ttm_rows`,
+//! checked bit for bit against unfold → GEMM → fold.
 
 use dtucker_linalg::eig::{sym_eig, sym_eig_top};
 use dtucker_linalg::gemm::{matmul, matmul_t, t_matmul};
 use dtucker_linalg::norms;
+use dtucker_linalg::pool::set_par_flop_threshold;
 use dtucker_linalg::qr::{qr_thin, Qr};
 use dtucker_linalg::Matrix;
+use dtucker_tensor::dense::DenseTensor;
+use dtucker_tensor::ttm::{ttm, ttm_rows, ttm_t};
+use dtucker_tensor::unfold::{fold, unfold};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -362,4 +368,69 @@ proptest! {
     ) {
         assert_qr_bitwise("random", &random(m, n, seed));
     }
+}
+
+fn random_tensor(shape: &[usize], seed: u64) -> DenseTensor {
+    let mut rng = StdRng::seed_from_u64(seed);
+    DenseTensor::from_fn(shape, |_| rng.gen_range(-1.0..1.0)).unwrap()
+}
+
+/// `X ×ₙ L` through the explicit unfolding: `fold(L · X₍ₙ₎)`, where
+/// `product` is `matmul` or `t_matmul` applied to the unfolding.
+fn ttm_oracle(x: &DenseTensor, mode: usize, product: impl Fn(&Matrix) -> Matrix) -> DenseTensor {
+    let y = product(&unfold(x, mode).unwrap());
+    let mut shape = x.shape().to_vec();
+    shape[mode] = y.rows();
+    fold(&y, mode, &shape).unwrap()
+}
+
+fn assert_tensor_bits(label: &str, ours: &DenseTensor, oracle: &DenseTensor) {
+    assert_eq!(ours.shape(), oracle.shape(), "{label}: shape");
+    for (i, (a, b)) in ours.as_slice().iter().zip(oracle.as_slice()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{label}: element {i}");
+    }
+}
+
+/// Every mode of every shape, with the parallel path forced and then
+/// disabled. The last mode of a shape takes the single-GEMM branch
+/// (`right == 1`), every other mode the batched one, and the modes of
+/// 260–300 cross the packed kernel's 256-long inner block.
+#[test]
+fn ttm_family_is_bitwise_unfold_gemm_fold() {
+    let shapes: [&[usize]; 5] = [
+        &[300, 3, 2],
+        &[2, 260, 3],
+        &[3, 2, 270],
+        &[5, 4, 3, 2],
+        &[7],
+    ];
+    for threshold in [Some(0), Some(usize::MAX)] {
+        set_par_flop_threshold(threshold);
+        for (s, shape) in shapes.iter().enumerate() {
+            let x = random_tensor(shape, 90 + s as u64);
+            for (mode, &i_n) in shape.iter().enumerate() {
+                for j in [1, 3, 9] {
+                    let seed = 1000 * s as u64 + 10 * mode as u64 + j as u64;
+                    let label = format!("{shape:?} mode {mode} J {j} threshold {threshold:?}");
+                    let a = random(j, i_n, seed);
+                    let want = ttm_oracle(&x, mode, |u| matmul(&a, u));
+                    assert_tensor_bits(&format!("ttm {label}"), &ttm(&x, &a, mode).unwrap(), &want);
+
+                    let f = random(i_n, j, seed + 5);
+                    let want = ttm_oracle(&x, mode, |u| t_matmul(&f, u));
+                    let got = ttm_t(&x, &f, mode).unwrap();
+                    assert_tensor_bits(&format!("ttm_t {label}"), &got, &want);
+
+                    let tall = random(j + 4, i_n, seed + 7);
+                    for (r0, r1) in [(0, j + 4), (2, 2 + j), (j + 3, j + 4)] {
+                        let sub = tall.submatrix(r0, r1, 0, i_n);
+                        let want = ttm_oracle(&x, mode, |u| matmul(&sub, u));
+                        let got = ttm_rows(&x, &tall, r0, r1, mode).unwrap();
+                        assert_tensor_bits(&format!("ttm_rows {r0}..{r1} {label}"), &got, &want);
+                    }
+                }
+            }
+        }
+    }
+    set_par_flop_threshold(None);
 }
