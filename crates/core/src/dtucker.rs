@@ -107,7 +107,7 @@ impl DTucker {
         let t0 = Instant::now();
         let sliced = SlicedTensor::compress(x, &self.cfg)?;
         let approximation = t0.elapsed();
-        let mut out = self.decompose_sliced_with_init(&sliced, strategy)?;
+        let mut out = self.run(sliced, Start::Init(strategy), &mut |_| Ok(()))?;
         out.timings.approximation = approximation;
         Ok(out)
     }
@@ -124,7 +124,7 @@ impl DTucker {
         sliced: &SlicedTensor,
         strategy: InitStrategy,
     ) -> Result<DTuckerOutput> {
-        self.run(sliced, Start::Init(strategy), &mut |_| Ok(()))
+        self.run(sliced.clone(), Start::Init(strategy), &mut |_| Ok(()))
     }
 
     /// Checkpointable variant of [`Self::decompose_sliced`]: the iteration
@@ -140,14 +140,15 @@ impl DTucker {
         on_sweep: &mut SweepHook<'_>,
     ) -> Result<DTuckerOutput> {
         let start = resume.map_or(Start::Init(InitStrategy::DTucker), Start::Resume);
-        self.run(sliced, start, on_sweep)
+        self.run(sliced.clone(), start, on_sweep)
     }
 
     /// Initialization (or resume-state check) and iteration on a
-    /// pre-compressed tensor, mapped back to the original mode order.
+    /// pre-compressed tensor, mapped back to the original mode order. The
+    /// output takes ownership of `sliced`.
     fn run(
         &self,
-        sliced: &SlicedTensor,
+        sliced: SlicedTensor,
         start: Start,
         on_sweep: &mut SweepHook<'_>,
     ) -> Result<DTuckerOutput> {
@@ -157,7 +158,7 @@ impl DTucker {
         let t1 = Instant::now();
         let state = match start {
             Start::Init(InitStrategy::DTucker) => SweepState::fresh(
-                initialize_threaded(sliced, &ranks_int, self.cfg.threads)?.factors,
+                initialize_threaded(&sliced, &ranks_int, self.cfg.threads)?.factors,
             ),
             Start::Init(InitStrategy::Random) => {
                 let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xD7CE);
@@ -201,7 +202,7 @@ impl DTucker {
         let initialization = t1.elapsed();
 
         let t2 = Instant::now();
-        let iter_out = iterate_from(sliced, &ranks_int, state, &self.cfg, on_sweep)?;
+        let iter_out = iterate_from(&sliced, &ranks_int, state, &self.cfg, on_sweep)?;
         let iteration = t2.elapsed();
 
         let decomposition = internal_to_original(&perm, iter_out.factors, iter_out.core)?;
@@ -213,7 +214,7 @@ impl DTucker {
                 initialization,
                 iteration,
             },
-            sliced: sliced.clone(),
+            sliced,
         })
     }
 }

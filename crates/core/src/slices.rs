@@ -14,7 +14,9 @@ use dtucker_linalg::pool;
 use dtucker_linalg::rsvd::{rsvd, RsvdConfig};
 use dtucker_linalg::svd::{scale_cols, svd, truncated_svd_gram};
 use dtucker_tensor::dense::{checked_num_elements, DenseTensor};
-use dtucker_tensor::unfold::{descending_mode_order, inverse_permutation, permute};
+use dtucker_tensor::unfold::{
+    check_permutation, descending_mode_order, inverse_permutation, permute,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -96,9 +98,7 @@ impl SlicedTensor {
         perm: &[usize],
         cfg: &DTuckerConfig,
     ) -> Result<Self> {
-        cfg.validate(x.shape())?;
-        let mut src = InMemorySource::with_perm(x, perm)?;
-        Self::compress_source(&mut src, cfg)
+        Self::compress_source(&mut InMemorySource::with_perm(x, perm)?, cfg)
     }
 
     /// Compresses a tensor presented through a [`SliceSource`] — the
@@ -144,19 +144,7 @@ impl SlicedTensor {
         if shape.len() < 2 || shape.contains(&0) {
             return Err(invalid(format!("implausible sliced shape {shape:?}")));
         }
-        if perm.len() != shape.len() {
-            return Err(invalid(format!(
-                "perm {perm:?} does not match order {}",
-                shape.len()
-            )));
-        }
-        let mut seen = vec![false; perm.len()];
-        for &p in &perm {
-            if p >= perm.len() || seen[p] {
-                return Err(invalid(format!("{perm:?} is not a permutation")));
-            }
-            seen[p] = true;
-        }
+        check_permutation(&perm, shape.len()).map_err(|e| invalid(e.to_string()))?;
         // The whole shape's count bounds its trailing modes' slice count.
         if checked_num_elements(&shape).is_none() {
             return Err(invalid(format!(

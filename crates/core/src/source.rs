@@ -9,7 +9,8 @@
 //!
 //! Two implementations live here:
 //!
-//! * [`InMemorySource`] — wraps a [`DenseTensor`] (the classic path);
+//! * [`InMemorySource`] — borrows a [`DenseTensor`] and gathers each
+//!   permuted slice from its original buffer through [`SliceGeometry`];
 //! * [`SyntheticSource`] — generates seeded low-rank slices on demand, so
 //!   benchmarks can exercise tensors far larger than RAM.
 //!
@@ -43,7 +44,7 @@ use dtucker_linalg::qr::orthonormalize;
 use dtucker_linalg::random::gaussian_matrix;
 use dtucker_linalg::svd::scale_cols;
 use dtucker_tensor::dense::DenseTensor;
-use dtucker_tensor::unfold::{descending_mode_order, permute};
+use dtucker_tensor::unfold::{check_permutation, descending_mode_order};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -97,50 +98,121 @@ pub trait SliceSource {
     }
 }
 
-/// [`SliceSource`] over a resident [`DenseTensor`] (permuted once at
-/// construction). This is what the classic `SlicedTensor::compress` path
-/// uses under the hood.
+/// Where the frontal slices of a permuted view sit in the **original**
+/// Fortran-order buffer: the one slice geometry every source that reads
+/// original-order data ([`InMemorySource`], the store's `DtenSliceSource`)
+/// gathers through, so neither ever builds a permuted copy.
 #[derive(Debug, Clone)]
-pub struct InMemorySource {
-    internal: DenseTensor,
+pub struct SliceGeometry {
+    /// Shape in the internal (permuted) order.
+    shape: Vec<usize>,
+    /// Internal position → original mode.
     perm: Vec<usize>,
-    norm_x_sq: f64,
+    /// Fortran strides of the original shape, in elements.
+    strides: Vec<usize>,
 }
 
-impl InMemorySource {
-    /// Wraps a tensor with the paper's default reordering (two largest
-    /// modes first).
-    pub fn new(x: &DenseTensor) -> Result<Self> {
-        Self::with_perm(x, &descending_mode_order(x.shape()))
-    }
-
-    /// Wraps a tensor with an explicit mode permutation.
-    pub fn with_perm(x: &DenseTensor, perm: &[usize]) -> Result<Self> {
-        let norm_x_sq = x.fro_norm_sq();
-        let internal = permute(x, perm)?;
-        Ok(InMemorySource {
-            internal,
+impl SliceGeometry {
+    /// The geometry of `original` viewed through `perm`. Fails unless the
+    /// tensor has at least two modes and `perm` is a permutation of them.
+    pub fn new(original: &[usize], perm: &[usize]) -> Result<Self> {
+        if original.len() < 2 {
+            return Err(CoreError::InvalidConfig {
+                details: format!("slice sourcing needs order >= 2, got shape {original:?}"),
+            });
+        }
+        check_permutation(perm, original.len())?;
+        let mut strides = vec![1usize; original.len()];
+        for m in 1..original.len() {
+            strides[m] = strides[m - 1] * original[m - 1];
+        }
+        Ok(SliceGeometry {
+            shape: perm.iter().map(|&p| original[p]).collect(),
             perm: perm.to_vec(),
-            norm_x_sq,
+            strides,
         })
     }
-}
 
-impl SliceSource for InMemorySource {
-    fn shape(&self) -> &[usize] {
-        self.internal.shape()
+    /// Shape in the internal (permuted) order.
+    pub fn shape(&self) -> &[usize] {
+        &self.shape
     }
 
-    fn perm(&self) -> &[usize] {
+    /// Internal position → original mode.
+    pub fn perm(&self) -> &[usize] {
         &self.perm
     }
 
     fn num_slices(&self) -> usize {
-        self.internal.num_frontal_slices()
+        self.shape[2..].iter().product()
+    }
+
+    /// `(base, s0, s1)` for frontal slice `l`: internal element
+    /// `(r, c, …)` of the slice is original element `base + r·s0 + c·s1`.
+    /// Fails unless `l` names one of the `L` slices.
+    pub fn slice(&self, l: usize) -> Result<(usize, usize, usize)> {
+        if l >= self.num_slices() {
+            return Err(CoreError::InvalidConfig {
+                details: format!("slice {l} out of range (have {})", self.num_slices()),
+            });
+        }
+        let mut base = 0usize;
+        let mut rem = l;
+        for (p, &dim) in self.shape.iter().enumerate().skip(2) {
+            base += (rem % dim) * self.strides[self.perm[p]];
+            rem /= dim;
+        }
+        Ok((base, self.strides[self.perm[0]], self.strides[self.perm[1]]))
+    }
+}
+
+/// [`SliceSource`] over a borrowed [`DenseTensor`]: each permuted frontal
+/// slice is gathered straight from the original buffer, so the extra
+/// memory is one slice per loaded slice, never a permuted copy.
+#[derive(Debug, Clone)]
+pub struct InMemorySource<'a> {
+    x: &'a DenseTensor,
+    geometry: SliceGeometry,
+    norm_x_sq: f64,
+}
+
+impl<'a> InMemorySource<'a> {
+    /// Wraps a tensor with the paper's default reordering (two largest
+    /// modes first).
+    pub fn new(x: &'a DenseTensor) -> Result<Self> {
+        Self::with_perm(x, &descending_mode_order(x.shape()))
+    }
+
+    /// Wraps a tensor with an explicit mode permutation.
+    pub fn with_perm(x: &'a DenseTensor, perm: &[usize]) -> Result<Self> {
+        Ok(InMemorySource {
+            x,
+            geometry: SliceGeometry::new(x.shape(), perm)?,
+            norm_x_sq: x.fro_norm_sq(),
+        })
+    }
+}
+
+impl SliceSource for InMemorySource<'_> {
+    fn shape(&self) -> &[usize] {
+        self.geometry.shape()
+    }
+
+    fn perm(&self) -> &[usize] {
+        self.geometry.perm()
     }
 
     fn load_slice(&mut self, l: usize) -> Result<Matrix> {
-        Ok(self.internal.frontal_slice(l)?)
+        let (base, s0, s1) = self.geometry.slice(l)?;
+        let data = self.x.as_slice();
+        let mut m = Matrix::zeros(self.shape()[0], self.shape()[1]);
+        for r in 0..m.rows() {
+            let row_base = base + r * s0;
+            for (c, v) in m.row_mut(r).iter_mut().enumerate() {
+                *v = data[row_base + c * s1];
+            }
+        }
+        Ok(m)
     }
 
     fn fro_norm_sq(&mut self) -> Result<f64> {
@@ -267,6 +339,7 @@ impl SliceSource for SyntheticSource {
 mod tests {
     use super::*;
     use dtucker_tensor::random::low_rank_plus_noise;
+    use dtucker_tensor::unfold::permute;
 
     #[test]
     fn in_memory_source_matches_tensor() {

@@ -27,10 +27,9 @@
 
 use crate::error::{Result, StoreError};
 use crate::format::{
-    decode_container, encode_container, put_f64_vec, put_matrix, put_usize_vec, ArtifactKind,
-    Reader,
+    decode_container, encode_container, put_f64_vec, put_f64s, put_matrix, put_u64, put_usize_vec,
+    ArtifactKind, Reader,
 };
-use bytes::BufMut;
 use dtucker_core::iterate::{SweepSnapshot, SweepState};
 use dtucker_core::{ConvergenceTrace, DTuckerConfig, SlicedTensor};
 use dtucker_linalg::matrix::Matrix;
@@ -77,19 +76,19 @@ impl HooiCheckpoint {
     /// Serializes into a complete artifact container.
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
-        p.put_u64_le(self.sweep as u64);
+        put_u64(&mut p, self.sweep as u64);
         put_usize_vec(&mut p, &self.shape);
         put_usize_vec(&mut p, &self.perm);
         put_usize_vec(&mut p, &self.ranks);
-        p.put_u64_le(self.seed);
-        p.put_f64_le(self.tolerance);
-        p.put_u64_le(self.max_iters as u64);
-        p.put_u64_le(self.factors.len() as u64);
+        put_u64(&mut p, self.seed);
+        put_f64s(&mut p, &[self.tolerance]);
+        put_u64(&mut p, self.max_iters as u64);
+        put_u64(&mut p, self.factors.len() as u64);
         for f in &self.factors {
             put_matrix(&mut p, f);
         }
         put_f64_vec(&mut p, &self.trace.sweep_fits);
-        p.put_u64_le(self.trace.converged as u64);
+        put_u64(&mut p, self.trace.converged as u64);
         encode_container(ArtifactKind::Checkpoint, &p)
     }
 

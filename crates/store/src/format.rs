@@ -29,7 +29,6 @@
 
 use crate::crc::crc32;
 use crate::error::{Result, StoreError};
-use bytes::BufMut;
 use dtucker_core::slices::{SliceSvd, SlicedTensor};
 use dtucker_core::tucker::TuckerDecomp;
 use dtucker_linalg::matrix::Matrix;
@@ -104,13 +103,13 @@ impl ArtifactKind {
 /// Wraps a payload in the container (header + checksum).
 pub fn encode_container(kind: ArtifactKind, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(OVERHEAD + payload.len());
-    buf.put_slice(MAGIC);
-    buf.put_slice(&VERSION.to_le_bytes());
-    buf.put_slice(&kind.to_u16().to_le_bytes());
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_slice(payload);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&kind.to_u16().to_le_bytes());
+    put_u64(&mut buf, payload.len() as u64);
+    buf.extend_from_slice(payload);
     let crc = crc32(&buf);
-    buf.put_u32_le(crc);
+    buf.extend_from_slice(&crc.to_le_bytes());
     buf
 }
 
@@ -266,33 +265,37 @@ impl<'a> Reader<'a> {
     }
 }
 
-pub(crate) fn put_usize_vec(buf: &mut Vec<u8>, v: &[usize]) {
-    buf.put_u64_le(v.len() as u64);
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_f64s(buf: &mut Vec<u8>, v: &[f64]) {
     for &x in v {
-        buf.put_u64_le(x as u64);
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+pub(crate) fn put_usize_vec(buf: &mut Vec<u8>, v: &[usize]) {
+    put_u64(buf, v.len() as u64);
+    for &x in v {
+        put_u64(buf, x as u64);
     }
 }
 
 pub(crate) fn put_f64_vec(buf: &mut Vec<u8>, v: &[f64]) {
-    buf.put_u64_le(v.len() as u64);
-    for &x in v {
-        buf.put_f64_le(x);
-    }
+    put_u64(buf, v.len() as u64);
+    put_f64s(buf, v);
 }
 
 pub(crate) fn put_matrix(buf: &mut Vec<u8>, m: &Matrix) {
-    buf.put_u64_le(m.rows() as u64);
-    buf.put_u64_le(m.cols() as u64);
-    for &x in m.as_slice() {
-        buf.put_f64_le(x);
-    }
+    put_u64(buf, m.rows() as u64);
+    put_u64(buf, m.cols() as u64);
+    put_f64s(buf, m.as_slice());
 }
 
 pub(crate) fn put_tensor(buf: &mut Vec<u8>, t: &DenseTensor) {
     put_usize_vec(buf, t.shape());
-    for &x in t.as_slice() {
-        buf.put_f64_le(x);
-    }
+    put_f64s(buf, t.as_slice());
 }
 
 // ---------------------------------------------------------------------------
@@ -304,14 +307,14 @@ pub fn encode_sliced(st: &SlicedTensor) -> Vec<u8> {
     let mut p = Vec::with_capacity(64 + st.memory_bytes() + st.num_slices() * 48);
     put_usize_vec(&mut p, st.shape());
     put_usize_vec(&mut p, st.perm());
-    p.put_u64_le(st.slice_rank() as u64);
-    p.put_u64_le(st.num_slices() as u64);
+    put_u64(&mut p, st.slice_rank() as u64);
+    put_u64(&mut p, st.num_slices() as u64);
     for sl in st.slices() {
         put_matrix(&mut p, &sl.u);
         put_f64_vec(&mut p, &sl.s);
         put_matrix(&mut p, &sl.v);
     }
-    p.put_f64_le(st.norm_x_sq());
+    put_f64s(&mut p, &[st.norm_x_sq()]);
     encode_container(ArtifactKind::Sliced, &p)
 }
 
@@ -351,7 +354,7 @@ pub fn decode_sliced(bytes: &[u8]) -> Result<SlicedTensor> {
 pub fn encode_tucker(d: &TuckerDecomp) -> Vec<u8> {
     let mut p = Vec::new();
     put_tensor(&mut p, &d.core);
-    p.put_u64_le(d.factors.len() as u64);
+    put_u64(&mut p, d.factors.len() as u64);
     for f in &d.factors {
         put_matrix(&mut p, f);
     }
@@ -483,7 +486,7 @@ mod tests {
     fn reader_guards_lengths() {
         // A payload claiming a gigantic vector must fail before allocating.
         let mut p = Vec::new();
-        p.put_u64_le(u64::MAX);
+        put_u64(&mut p, u64::MAX);
         let bytes = encode_container(ArtifactKind::Sliced, &p);
         assert!(matches!(decode_sliced(&bytes), Err(StoreError::Format(_))));
 

@@ -17,14 +17,14 @@
 //!   [`MAX_SPAN_BYTES`].
 
 use crate::error::{Result, StoreError};
-use dtucker_core::source::SliceSource;
+use dtucker_core::source::{SliceGeometry, SliceSource};
 use dtucker_core::Result as CoreResult;
 use dtucker_linalg::matrix::Matrix;
 use dtucker_linalg::norms::FroNormAccumulator;
-use dtucker_tensor::io::{file_len, header_len, read_header};
+use dtucker_tensor::io::{file_len, header_len, read_f64s, read_header};
 use dtucker_tensor::unfold::descending_mode_order;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::{BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// Largest single gather read the span strategy may issue (16 MiB). Spans
@@ -37,12 +37,8 @@ pub const MAX_SPAN_BYTES: usize = 16 << 20;
 pub struct DtenSliceSource {
     file: File,
     path: PathBuf,
-    /// Shape in the internal (permuted) order.
-    shape: Vec<usize>,
-    /// Internal position → original mode.
-    perm: Vec<usize>,
-    /// Fortran strides of the **original** shape, in elements.
-    strides: Vec<usize>,
+    /// Where each permuted slice sits in the original-order payload.
+    geometry: SliceGeometry,
     /// Byte offset of the f64 payload.
     data_offset: u64,
     norm_cache: Option<f64>,
@@ -62,30 +58,9 @@ impl DtenSliceSource {
         let path = path.as_ref().to_path_buf();
         let mut file = File::open(&path)?;
         let orig = read_header(&mut file)?;
-        let order = orig.len();
-        if order < 2 {
-            return Err(StoreError::Format(format!(
-                "{}: slice sourcing needs order >= 2, file is order {order}",
-                path.display()
-            )));
-        }
-        if perm.len() != order {
-            return Err(StoreError::Mismatch(format!(
-                "permutation {perm:?} does not fit an order-{order} tensor"
-            )));
-        }
-        let mut seen = vec![false; order];
-        for &p in perm {
-            if p >= order || seen[p] {
-                return Err(StoreError::Mismatch(format!(
-                    "{perm:?} is not a permutation of 0..{order}"
-                )));
-            }
-            seen[p] = true;
-        }
+        let geometry = SliceGeometry::new(&orig, perm)?;
         // Validate the payload length once so later reads can't run off the
         // end of a truncated file.
-        let data_offset = header_len(order);
         let expected = file_len(&orig).ok_or_else(|| {
             StoreError::Format(format!(
                 "{}: shape {orig:?} overflows the element count",
@@ -99,18 +74,11 @@ impl DtenSliceSource {
                 path.display()
             )));
         }
-        let mut strides = vec![1usize; order];
-        for m in 1..order {
-            strides[m] = strides[m - 1] * orig[m - 1];
-        }
-        let shape: Vec<usize> = perm.iter().map(|&p| orig[p]).collect();
         Ok(DtenSliceSource {
             file,
             path,
-            shape,
-            perm: perm.to_vec(),
-            strides,
-            data_offset,
+            geometry,
+            data_offset: header_len(orig.len()),
             norm_cache: None,
         })
     }
@@ -126,33 +94,15 @@ impl DtenSliceSource {
         &self.path
     }
 
-    /// Element offset (into the payload) of internal element
-    /// `(0, 0, t₂, …)` for frontal slice `l`, plus the two leading strides.
-    fn slice_geometry(&self, l: usize) -> (usize, usize, usize) {
-        let mut base = 0usize;
-        let mut rem = l;
-        for (p, &dim) in self.shape.iter().enumerate().skip(2) {
-            let t = rem % dim;
-            rem /= dim;
-            base += t * self.strides[self.perm[p]];
-        }
-        (base, self.strides[self.perm[0]], self.strides[self.perm[1]])
-    }
-
     fn read_elements_at(&mut self, elem_offset: usize, out: &mut [f64]) -> Result<()> {
         let byte = self.data_offset + elem_offset as u64 * 8;
         self.file.seek(SeekFrom::Start(byte))?;
-        let mut raw = vec![0u8; out.len() * 8];
-        self.file.read_exact(&mut raw)?;
-        for (dst, chunk) in out.iter_mut().zip(raw.chunks_exact(8)) {
-            *dst = f64::from_le_bytes(crate::format::arr8(chunk));
-        }
-        Ok(())
+        Ok(read_f64s(&mut self.file, out)?)
     }
 
-    fn gather_slice(&mut self, l: usize) -> Result<Matrix> {
-        let (i1, i2) = (self.shape[0], self.shape[1]);
-        let (base, s0, s1) = self.slice_geometry(l);
+    /// Gathers the slice whose geometry is `(base, s0, s1)`.
+    fn gather_slice(&mut self, (base, s0, s1): (usize, usize, usize)) -> Result<Matrix> {
+        let (i1, i2) = (self.shape()[0], self.shape()[1]);
         let mut m = Matrix::zeros(i1, i2);
 
         if s0 == 1 && s1 == i1 {
@@ -210,16 +160,15 @@ impl DtenSliceSource {
         // order `DenseTensor::fro_norm_sq` walks, so the result is
         // bit-identical to the in-memory norm.
         self.file.seek(SeekFrom::Start(self.data_offset))?;
-        let numel: usize = self.shape.iter().product();
+        let mut left: usize = self.shape().iter().product();
         let mut acc = FroNormAccumulator::new();
         let mut reader = BufReader::with_capacity(1 << 20, &mut self.file);
-        let mut buf = vec![0u8; 8 * 4096];
-        let mut left = numel * 8;
+        let mut buf = vec![0.0f64; 4096];
         while left > 0 {
             let take = left.min(buf.len());
-            reader.read_exact(&mut buf[..take])?;
-            for chunk in buf[..take].chunks_exact(8) {
-                acc.push(f64::from_le_bytes(crate::format::arr8(chunk)));
+            read_f64s(&mut reader, &mut buf[..take])?;
+            for &v in &buf[..take] {
+                acc.push(v);
             }
             left -= take;
         }
@@ -233,20 +182,16 @@ fn to_core_err(e: StoreError) -> dtucker_core::CoreError {
 
 impl SliceSource for DtenSliceSource {
     fn shape(&self) -> &[usize] {
-        &self.shape
+        self.geometry.shape()
     }
 
     fn perm(&self) -> &[usize] {
-        &self.perm
+        self.geometry.perm()
     }
 
     fn load_slice(&mut self, l: usize) -> CoreResult<Matrix> {
-        if l >= self.num_slices() {
-            return Err(dtucker_core::CoreError::InvalidConfig {
-                details: format!("slice {l} out of range (have {})", self.num_slices()),
-            });
-        }
-        self.gather_slice(l).map_err(to_core_err)
+        let geometry = self.geometry.slice(l)?;
+        self.gather_slice(geometry).map_err(to_core_err)
     }
 
     fn fro_norm_sq(&mut self) -> CoreResult<f64> {

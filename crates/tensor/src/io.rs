@@ -12,14 +12,15 @@
 
 use crate::dense::{checked_num_elements, num_elements, DenseTensor};
 use crate::error::{Result, TensorError};
-use bytes::{Buf, BufMut};
 use std::fs::File;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC: &[u8; 4] = b"DTEN";
 const VERSION: u32 = 1;
+/// Values converted per staging buffer by [`read_f64s`] and the encoder.
+const STAGE: usize = 1024;
 
 /// Byte length of a `.dten` header for an order-`n` tensor (magic +
 /// version + order + dims). The f64 payload starts at this offset.
@@ -27,18 +28,32 @@ pub fn header_len(order: usize) -> u64 {
     12 + order as u64 * 8
 }
 
+/// Writes the `.dten` encoding of `t` (header, then the payload in
+/// Fortran order) to `w`. [`to_bytes`] and [`save`] both go through it.
+fn encode(t: &DenseTensor, w: &mut impl Write) -> std::io::Result<()> {
+    let mut head = Vec::with_capacity(header_len(t.order()) as usize);
+    head.extend_from_slice(MAGIC);
+    head.extend_from_slice(&VERSION.to_le_bytes());
+    head.extend_from_slice(&(t.order() as u32).to_le_bytes());
+    for &d in t.shape() {
+        head.extend_from_slice(&(d as u64).to_le_bytes());
+    }
+    w.write_all(&head)?;
+    let mut stage = [0u8; STAGE * 8];
+    for chunk in t.as_slice().chunks(STAGE) {
+        for (dst, v) in stage.chunks_exact_mut(8).zip(chunk) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        w.write_all(&stage[..chunk.len() * 8])?;
+    }
+    Ok(())
+}
+
 /// Serializes a tensor into a byte vector.
 pub fn to_bytes(t: &DenseTensor) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + t.shape().len() * 8 + t.numel() * 8);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(t.order() as u32);
-    for &d in t.shape() {
-        buf.put_u64_le(d as u64);
-    }
-    for &v in t.as_slice() {
-        buf.put_f64_le(v);
-    }
+    let mut buf = Vec::with_capacity((header_len(t.order()) as usize) + t.numel() * 8);
+    // Writing into a `Vec<u8>` cannot fail.
+    let _ = encode(t, &mut buf);
     buf
 }
 
@@ -52,19 +67,40 @@ pub fn file_len(shape: &[usize]) -> Option<u64> {
 /// Deserializes a tensor from bytes produced by [`to_bytes`].
 pub fn from_bytes(mut buf: &[u8]) -> Result<DenseTensor> {
     let shape = read_header(&mut buf)?;
+    let available = buf.len() as u64;
+    read_payload(&mut buf, shape, available)
+}
+
+/// Reads the payload of a tensor of `shape` that has `available` bytes
+/// left after its header; a truncated or trailing payload is a format
+/// error, checked before anything is allocated.
+fn read_payload(r: &mut impl Read, shape: Vec<usize>, available: u64) -> Result<DenseTensor> {
     let n = num_elements(&shape);
     let expected = n as u64 * 8;
-    if buf.remaining() as u64 != expected {
+    if available != expected {
         return Err(TensorError::Format(format!(
-            "payload has {} bytes, expected {expected}",
-            buf.remaining()
+            "payload has {available} bytes, expected {expected}"
         )));
     }
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(buf.get_f64_le());
-    }
+    let mut data = vec![0.0; n];
+    read_f64s(r, &mut data)?;
     DenseTensor::from_vec(&shape, data)
+}
+
+/// Fills `out` with little-endian f64 values read from `r`, converting
+/// through a fixed staging buffer so no byte copy of the data is held.
+pub fn read_f64s(r: &mut impl Read, out: &mut [f64]) -> std::io::Result<()> {
+    let mut stage = [0u8; STAGE * 8];
+    for chunk in out.chunks_mut(STAGE) {
+        let bytes = &mut stage[..chunk.len() * 8];
+        r.read_exact(bytes)?;
+        for (dst, src) in chunk.iter_mut().zip(bytes.chunks_exact(8)) {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(src);
+            *dst = f64::from_le_bytes(b);
+        }
+    }
+    Ok(())
 }
 
 /// Reads and validates a `.dten` header from a reader positioned at the
@@ -76,28 +112,27 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<DenseTensor> {
 pub fn read_header(r: &mut impl Read) -> Result<Vec<usize>> {
     let mut head = [0u8; 12];
     read_exact_or(r, &mut head, "header")?;
-    let mut buf = &head[..];
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(TensorError::Format(format!("bad magic {magic:?}")));
+    let word = |i: usize| u32::from_le_bytes([head[i], head[i + 1], head[i + 2], head[i + 3]]);
+    if &head[..4] != MAGIC {
+        return Err(TensorError::Format(format!("bad magic {:?}", &head[..4])));
     }
-    let version = buf.get_u32_le();
+    let version = word(4);
     if version != VERSION {
         return Err(TensorError::Format(format!(
             "unsupported version {version}"
         )));
     }
-    let order = buf.get_u32_le() as usize;
+    let order = word(8) as usize;
     if order == 0 || order > 16 {
         return Err(TensorError::Format(format!("implausible order {order}")));
     }
-    let mut dims = vec![0u8; order * 8];
-    read_exact_or(r, &mut dims, "dims")?;
-    let mut buf = &dims[..];
+    let mut dims = [0u8; 16 * 8];
+    read_exact_or(r, &mut dims[..order * 8], "dims")?;
     let mut shape = Vec::with_capacity(order);
-    for _ in 0..order {
-        let d = usize::try_from(buf.get_u64_le())
+    for raw in dims[..order * 8].chunks_exact(8) {
+        let mut d = [0u8; 8];
+        d.copy_from_slice(raw);
+        let d = usize::try_from(u64::from_le_bytes(d))
             .map_err(|_| TensorError::Format("dimension overflows usize".into()))?;
         if d == 0 {
             return Err(TensorError::Format("zero dimension".into()));
@@ -124,10 +159,17 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<()> {
 /// then renamed over the destination. A crash mid-write leaves either the
 /// old file or nothing — never a torn artifact. All dtucker file writers
 /// (`.dten` tensors and the `dtucker-store` artifact formats) go through
-/// this helper.
+/// this helper or [`save`], which shares its body.
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
+    atomic_write_with(path.as_ref(), |w| w.write_all(bytes))
+}
+
+/// The one atomic-write body: `write` streams into the buffered temp file.
+fn atomic_write_with(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let path = path.as_ref();
     let dir: PathBuf = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => PathBuf::from("."),
@@ -141,32 +183,33 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
         std::process::id(),
         COUNTER.fetch_add(1, Ordering::Relaxed),
     ));
-    let write = (|| {
+    let result = (|| {
         // This IS the atomic-write helper every other writer must route
         // through; the raw create targets the private temp file.
         // dtucker-lint: allow(atomic-write-required)
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+        let mut w = BufWriter::with_capacity(1 << 16, File::create(&tmp)?);
+        write(&mut w)?;
+        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
         std::fs::rename(&tmp, path)
     })();
-    if write.is_err() {
+    if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
-    write
+    result
 }
 
-/// Writes a tensor to a file (atomically — see [`atomic_write`]).
+/// Writes a tensor to a file, streaming it into the atomic temp file (see
+/// [`atomic_write`]) without building its bytes in memory first.
 pub fn save(t: &DenseTensor, path: impl AsRef<Path>) -> Result<()> {
-    Ok(atomic_write(path, &to_bytes(t))?)
+    Ok(atomic_write_with(path.as_ref(), |w| encode(t, w))?)
 }
 
-/// Reads a tensor from a file.
+/// Reads a tensor from a file straight into its value buffer.
 pub fn load(path: impl AsRef<Path>) -> Result<DenseTensor> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    from_bytes(&buf)
+    let mut f = File::open(path)?;
+    let shape = read_header(&mut f)?;
+    let available = f.metadata()?.len().saturating_sub(header_len(shape.len()));
+    read_payload(&mut f, shape, available)
 }
 
 #[cfg(test)]
@@ -224,18 +267,16 @@ mod tests {
 
     #[test]
     fn rejects_zero_dim_and_bad_order() {
-        let mut buf = Vec::new();
-        buf.put_slice(b"DTEN");
-        buf.put_u32_le(1);
-        buf.put_u32_le(2);
-        buf.put_u64_le(0);
-        buf.put_u64_le(3);
+        let mut buf = b"DTEN".to_vec();
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&3u64.to_le_bytes());
         assert!(from_bytes(&buf).is_err());
 
-        let mut buf = Vec::new();
-        buf.put_slice(b"DTEN");
-        buf.put_u32_le(1);
-        buf.put_u32_le(99); // implausible order
+        let mut buf = b"DTEN".to_vec();
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&99u32.to_le_bytes()); // implausible order
         assert!(from_bytes(&buf).is_err());
     }
 

@@ -123,22 +123,7 @@ pub fn fold(m: &Matrix, mode: usize, shape: &[usize]) -> Result<DenseTensor> {
 /// `order[p]`. `order` must be a permutation of `0..N`.
 pub fn permute(x: &DenseTensor, order: &[usize]) -> Result<DenseTensor> {
     let n = x.order();
-    if order.len() != n {
-        return Err(TensorError::ShapeMismatch {
-            op: "permute",
-            details: format!("permutation {:?} for order-{n} tensor", order),
-        });
-    }
-    let mut seen = vec![false; n];
-    for &p in order {
-        if p >= n || seen[p] {
-            return Err(TensorError::ShapeMismatch {
-                op: "permute",
-                details: format!("{:?} is not a permutation of 0..{n}", order),
-            });
-        }
-        seen[p] = true;
-    }
+    check_permutation(order, n)?;
     let in_shape = x.shape().to_vec();
     let out_shape: Vec<usize> = order.iter().map(|&p| in_shape[p]).collect();
 
@@ -170,6 +155,23 @@ pub fn permute(x: &DenseTensor, order: &[usize]) -> Result<DenseTensor> {
         }
     }
     Ok(out)
+}
+
+/// Checks that `perm` is a permutation of `0..n`: the one check shared by
+/// [`permute`], the slice sources and the stored sliced form.
+pub fn check_permutation(perm: &[usize], n: usize) -> Result<()> {
+    let mut seen = vec![false; n];
+    let ok = perm.len() == n
+        && perm
+            .iter()
+            .all(|&p| p < n && !std::mem::replace(&mut seen[p], true));
+    if !ok {
+        return Err(TensorError::ShapeMismatch {
+            op: "permute",
+            details: format!("{perm:?} is not a permutation of 0..{n}"),
+        });
+    }
+    Ok(())
 }
 
 /// Returns the permutation that sorts the modes by descending

@@ -59,9 +59,35 @@ fn opt(args: &[String], key: &str) -> Option<String> {
         .cloned()
 }
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    eprintln!();
+/// Why a subcommand stopped. Both kinds exit with code 2; only a bad
+/// command line is followed by the usage text.
+#[derive(Debug)]
+enum Failure {
+    /// Missing, unknown or malformed arguments.
+    Usage(String),
+    /// An error while running: unreadable input, bad data, a failed write.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Run(msg)
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Usage(msg) | Failure::Run(msg) => f.write_str(msg),
+        }
+    }
+}
+
+fn usage(msg: impl Into<String>) -> Failure {
+    Failure::Usage(msg.into())
+}
+
+fn print_usage() {
     eprintln!("usage:");
     eprintln!(
         "  dtucker-cli generate    --dataset <name> [--scale ci|bench|paper] [--seed S] --out <file>"
@@ -82,12 +108,11 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("                        [--format text|json]");
     eprintln!("  dtucker-cli list      --store <dir> [--format text|json]");
     eprintln!("  dtucker-cli serve     --store <dir> [--addr HOST:PORT] [--threads N] [--cache-mb N] [--max-inflight N]");
-    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let result = match args.first().map(String::as_str) {
         Some("generate") => cmd_generate(&args),
         Some("info") => cmd_info(&args),
         Some("compress") => cmd_compress(&args),
@@ -97,7 +122,18 @@ fn main() -> ExitCode {
         Some("query") => cmd_query(&args),
         Some("list") => cmd_list(&args),
         Some("serve") => cmd_serve(&args),
-        _ => fail("missing or unknown subcommand"),
+        _ => Err(usage("missing or unknown subcommand")),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(failure) => {
+            eprintln!("error: {failure}");
+            if let Failure::Usage(_) = failure {
+                eprintln!();
+                print_usage();
+            }
+            ExitCode::from(2)
+        }
     }
 }
 
@@ -134,47 +170,37 @@ fn run_resumable(
     Ok(out)
 }
 
-fn cmd_generate(args: &[String]) -> ExitCode {
+fn cmd_generate(args: &[String]) -> Result<(), Failure> {
     let Some(name) = opt(args, "dataset") else {
-        return fail("--dataset is required");
+        return Err(usage("--dataset is required"));
     };
     let Some(ds) = Dataset::parse(&name) else {
-        return fail("unknown dataset");
+        return Err(usage("unknown dataset"));
     };
-    let scale = match parse_scale(&opt(args, "scale").unwrap_or_else(|| "ci".into())) {
-        Ok(s) => s,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let scale = parse_scale(&opt(args, "scale").unwrap_or_else(|| "ci".into()))
+        .map_err(|e| usage(e.to_string()))?;
     let seed: u64 = opt(args, "seed").and_then(|v| v.parse().ok()).unwrap_or(0);
     let Some(out) = opt(args, "out") else {
-        return fail("--out is required");
+        return Err(usage("--out is required"));
     };
 
     let t0 = Instant::now();
-    let x = match generate(ds, scale, seed) {
-        Ok(x) => x,
-        Err(e) => return fail(&e.to_string()),
-    };
-    if let Err(e) = io::save(&x, &out) {
-        return fail(&e.to_string());
-    }
+    let x = generate(ds, scale, seed).map_err(|e| e.to_string())?;
+    io::save(&x, &out).map_err(|e| e.to_string())?;
     println!(
         "wrote {out}: {:?}, {:.1} MB, generated in {:.2}s",
         x.shape(),
         x.numel() as f64 * 8.0 / 1e6,
         t0.elapsed().as_secs_f64()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_info(args: &[String]) -> ExitCode {
+fn cmd_info(args: &[String]) -> Result<(), Failure> {
     let Some(input) = opt(args, "input") else {
-        return fail("--input is required");
+        return Err(usage("--input is required"));
     };
-    let x = match io::load(&input) {
-        Ok(x) => x,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let x = io::load(&input).map_err(|e| e.to_string())?;
     println!("{input}:");
     println!("  shape   {:?} (order {})", x.shape(), x.order());
     println!(
@@ -185,26 +211,23 @@ fn cmd_info(args: &[String]) -> ExitCode {
     println!("  ‖X‖_F   {:.6}", x.fro_norm());
     println!("  max|x|  {:.6}", x.max_abs());
     println!("  finite  {}", x.is_finite());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_compress(args: &[String]) -> ExitCode {
+fn cmd_compress(args: &[String]) -> Result<(), Failure> {
     let Some(input) = opt(args, "input") else {
-        return fail("--input is required");
+        return Err(usage("--input is required"));
     };
     let Some(rank) = opt(args, "rank").and_then(|v| v.parse::<usize>().ok()) else {
-        return fail("--rank J is required");
+        return Err(usage("--rank J is required"));
     };
     let Some(out) = opt(args, "out") else {
-        return fail("--out is required");
+        return Err(usage("--out is required"));
     };
     let chunk: usize = opt(args, "chunk").and_then(|v| v.parse().ok()).unwrap_or(0);
     let seed: u64 = opt(args, "seed").and_then(|v| v.parse().ok()).unwrap_or(0);
 
-    let mut src = match DtenSliceSource::open(&input) {
-        Ok(s) => s,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let mut src = DtenSliceSource::open(&input).map_err(|e| e.to_string())?;
     let n = src.shape().len();
     let j = rank.min(*src.shape().iter().min().expect("non-empty shape"));
     if j < rank {
@@ -215,13 +238,8 @@ fn cmd_compress(args: &[String]) -> ExitCode {
         .with_chunk_slices(chunk);
 
     let t0 = Instant::now();
-    let st = match SlicedTensor::compress_source(&mut src, &cfg) {
-        Ok(st) => st,
-        Err(e) => return fail(&e.to_string()),
-    };
-    if let Err(e) = store::write_sliced(&out, &st) {
-        return fail(&e.to_string());
-    }
+    let st = SlicedTensor::compress_source(&mut src, &cfg).map_err(|e| e.to_string())?;
+    store::write_sliced(&out, &st).map_err(|e| e.to_string())?;
     println!("input       {input} {:?}", src.original_shape());
     println!(
         "slices      {} of rank {} (chunked {} at a time)",
@@ -235,17 +253,17 @@ fn cmd_compress(args: &[String]) -> ExitCode {
         st.memory_bytes() as f64 / 1e6,
         st.compression_ratio()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_decompose(args: &[String]) -> ExitCode {
+fn cmd_decompose(args: &[String]) -> Result<(), Failure> {
     let input = opt(args, "input");
     let sliced_path = opt(args, "sliced");
     if input.is_some() == sliced_path.is_some() {
-        return fail("exactly one of --input / --sliced is required");
+        return Err(usage("exactly one of --input / --sliced is required"));
     }
     let Some(rank) = opt(args, "rank").and_then(|v| v.parse::<usize>().ok()) else {
-        return fail("--rank J is required");
+        return Err(usage("--rank J is required"));
     };
     let method = opt(args, "method").unwrap_or_else(|| "dtucker".into());
     let seed: u64 = opt(args, "seed").and_then(|v| v.parse().ok()).unwrap_or(0);
@@ -254,16 +272,13 @@ fn cmd_decompose(args: &[String]) -> ExitCode {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
     if ckpt.is_some() && method != "dtucker" {
-        return fail("--checkpoint is only supported for --method dtucker");
+        return Err(usage("--checkpoint is only supported for --method dtucker"));
     }
 
     // Dense tensor (when given a `.dten`) and compressed representation
     // (always, for the dtucker path).
     let x = match &input {
-        Some(path) => match io::load(path) {
-            Ok(x) => Some(x),
-            Err(e) => return fail(&e.to_string()),
-        },
+        Some(path) => Some(io::load(path).map_err(|e| e.to_string())?),
         None => None,
     };
 
@@ -277,19 +292,10 @@ fn cmd_decompose(args: &[String]) -> ExitCode {
                     eprintln!("note: rank clamped to {j} (smallest mode)");
                 }
                 let cfg = DTuckerConfig::uniform(j, n).with_seed(seed);
-                let mut src = match dtucker::InMemorySource::new(x) {
-                    Ok(s) => s,
-                    Err(e) => return fail(&e.to_string()),
-                };
-                match SlicedTensor::compress_source(&mut src, &cfg) {
-                    Ok(st) => st,
-                    Err(e) => return fail(&e.to_string()),
-                }
+                let mut src = dtucker::InMemorySource::new(x).map_err(|e| e.to_string())?;
+                SlicedTensor::compress_source(&mut src, &cfg).map_err(|e| e.to_string())?
             }
-            (None, Some(path)) => match store::read_sliced(path) {
-                Ok(st) => st,
-                Err(e) => return fail(&e.to_string()),
-            },
+            (None, Some(path)) => store::read_sliced(path).map_err(|e| e.to_string())?,
             (None, None) => unreachable!("validated above"),
         };
         let n = st.shape().len();
@@ -300,10 +306,7 @@ fn cmd_decompose(args: &[String]) -> ExitCode {
             eprintln!("note: rank clamped to {j} (smallest mode / slice rank)");
         }
         let cfg = DTuckerConfig::uniform(j, n).with_seed(seed);
-        let out = match run_resumable(&st, &cfg, None, ckpt.as_deref(), every) {
-            Ok(o) => o,
-            Err(e) => return fail(&e),
-        };
+        let out = run_resumable(&st, &cfg, None, ckpt.as_deref(), every)?;
         println!(
             "iterations  {} (converged: {})",
             out.trace.iterations(),
@@ -312,7 +315,9 @@ fn cmd_decompose(args: &[String]) -> ExitCode {
         out.decomposition
     } else {
         let Some(x) = &x else {
-            return fail("baseline methods need a dense --input (not --sliced)");
+            return Err(usage(
+                "baseline methods need a dense --input (not --sliced)",
+            ));
         };
         let n = x.order();
         let j = rank.min(*x.shape().iter().min().expect("non-empty shape"));
@@ -338,12 +343,9 @@ fn cmd_decompose(args: &[String]) -> ExitCode {
                 c.seed = seed;
                 rtd(x, &c).map(|o| o.decomposition)
             }
-            other => return fail(&format!("unknown method '{other}'")),
+            other => return Err(usage(format!("unknown method '{other}'"))),
         };
-        match result {
-            Ok(d) => d,
-            Err(e) => return fail(&e.to_string()),
-        }
+        result.map_err(|e| e.to_string())?
     };
     let elapsed = t0.elapsed();
 
@@ -351,18 +353,16 @@ fn cmd_decompose(args: &[String]) -> ExitCode {
     println!("ranks       {:?}", d.ranks());
     println!("time        {:.3}s", elapsed.as_secs_f64());
     match &x {
-        Some(x) => match d.relative_error_sq(x) {
-            Ok(e) => println!("rel. error  {e:.6}"),
-            Err(e) => return fail(&e.to_string()),
-        },
+        Some(x) => {
+            let e = d.relative_error_sq(x).map_err(|e| e.to_string())?;
+            println!("rel. error  {e:.6}");
+        }
         None => {
             // No dense tensor in memory: report the projection error
             // implied by ‖X‖² and the core energy.
-            let st = store::read_sliced(sliced_path.as_ref().expect("sliced path"));
-            match st {
-                Ok(st) => println!("proj. error {:.6}", d.projection_error_sq(st.norm_x_sq())),
-                Err(e) => return fail(&e.to_string()),
-            }
+            let st = store::read_sliced(sliced_path.as_ref().expect("sliced path"))
+                .map_err(|e| e.to_string())?;
+            println!("proj. error {:.6}", d.projection_error_sq(st.norm_x_sq()));
         }
     }
     let dense_bytes: usize = d.full_shape().iter().product::<usize>() * 8;
@@ -372,47 +372,35 @@ fn cmd_decompose(args: &[String]) -> ExitCode {
         dense_bytes as f64 / d.memory_bytes().max(1) as f64
     );
     if let Some(path) = opt(args, "save-core") {
-        if let Err(e) = io::save(&d.core, &path) {
-            return fail(&e.to_string());
-        }
+        io::save(&d.core, &path).map_err(|e| e.to_string())?;
         println!("core        written to {path}");
     }
     if let Some(path) = opt(args, "save-decomp") {
-        if let Err(e) = store::write_decomposition(&path, &d) {
-            return fail(&e.to_string());
-        }
+        store::write_decomposition(&path, &d).map_err(|e| e.to_string())?;
         println!("decomp      written to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_resume(args: &[String]) -> ExitCode {
+fn cmd_resume(args: &[String]) -> Result<(), Failure> {
     let Some(sliced_path) = opt(args, "sliced") else {
-        return fail("--sliced is required");
+        return Err(usage("--sliced is required"));
     };
     let Some(ckpt_path) = opt(args, "checkpoint") else {
-        return fail("--checkpoint is required");
+        return Err(usage("--checkpoint is required"));
     };
     let every: usize = opt(args, "checkpoint-every")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
 
-    let st = match store::read_sliced(&sliced_path) {
-        Ok(st) => st,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let ck = match store::read_checkpoint(&ckpt_path) {
-        Ok(ck) => ck,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let st = store::read_sliced(&sliced_path).map_err(|e| e.to_string())?;
+    let ck = store::read_checkpoint(&ckpt_path).map_err(|e| e.to_string())?;
     // The checkpoint carries the full run identity; rebuild the exact
     // configuration instead of asking the user to repeat it.
     let mut cfg = DTuckerConfig::new(&ck.ranks).with_seed(ck.seed);
     cfg.tolerance = ck.tolerance;
     cfg.max_iters = ck.max_iters;
-    if let Err(e) = ck.validate_against(&st, &cfg) {
-        return fail(&e.to_string());
-    }
+    ck.validate_against(&st, &cfg).map_err(|e| e.to_string())?;
     let start_sweep = ck.sweep;
     println!(
         "resuming    sweep {start_sweep} of {} ({ckpt_path})",
@@ -420,10 +408,7 @@ fn cmd_resume(args: &[String]) -> ExitCode {
     );
 
     let t0 = Instant::now();
-    let out = match run_resumable(&st, &cfg, Some(ck.into_state()), Some(&ckpt_path), every) {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
+    let out = run_resumable(&st, &cfg, Some(ck.into_state()), Some(&ckpt_path), every)?;
     let d = out.decomposition;
     println!(
         "iterations  {} (converged: {})",
@@ -434,19 +419,10 @@ fn cmd_resume(args: &[String]) -> ExitCode {
     println!("time        {:.3}s", t0.elapsed().as_secs_f64());
     println!("proj. error {:.6}", d.projection_error_sq(st.norm_x_sq()));
     if let Some(path) = opt(args, "save-decomp") {
-        if let Err(e) = store::write_decomposition(&path, &d) {
-            return fail(&e.to_string());
-        }
+        store::write_decomposition(&path, &d).map_err(|e| e.to_string())?;
         println!("decomp      written to {path}");
     }
-    ExitCode::SUCCESS
-}
-
-fn cmd_reconstruct(args: &[String]) -> ExitCode {
-    match try_reconstruct(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
+    Ok(())
 }
 
 /// Reconstruction with an optional `--range SPEC`. The `--decomp` path is
@@ -455,12 +431,12 @@ fn cmd_reconstruct(args: &[String]) -> ExitCode {
 /// compressed representation first. Out-of-bounds or malformed specs are
 /// typed errors, never panics, and the output goes through the atomic
 /// write helper (temp file + rename) like every other artifact.
-fn try_reconstruct(args: &[String]) -> Result<(), String> {
-    let out = opt(args, "out").ok_or("--out is required")?;
+fn cmd_reconstruct(args: &[String]) -> Result<(), Failure> {
+    let out = opt(args, "out").ok_or_else(|| usage("--out is required"))?;
     let decomp = opt(args, "decomp");
     let sliced = opt(args, "sliced");
     if decomp.is_some() == sliced.is_some() {
-        return Err("exactly one of --decomp / --sliced is required".into());
+        return Err(usage("exactly one of --decomp / --sliced is required"));
     }
     let range = opt(args, "range");
 
@@ -495,13 +471,6 @@ fn try_reconstruct(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> ExitCode {
-    match try_query(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
-}
-
 /// `--verify` tolerance: the engine and the naive oracle sum in different
 /// orders, so equality is up to rounding (scaled by the data magnitude).
 const VERIFY_TOL: f64 = 1e-8;
@@ -524,18 +493,20 @@ fn check_close_scalar(spec: &str, got: f64, want: f64, scale: f64) -> Result<(),
 }
 
 /// Serves element/range/batch queries from a decomposition artifact.
-fn try_query(args: &[String]) -> Result<(), String> {
-    let decomp_path = opt(args, "decomp").ok_or("--decomp is required")?;
+fn cmd_query(args: &[String]) -> Result<(), Failure> {
+    let decomp_path = opt(args, "decomp").ok_or_else(|| usage("--decomp is required"))?;
     let cache_mb: usize = match opt(args, "cache-mb") {
         Some(v) => v
             .parse()
-            .map_err(|_| format!("--cache-mb '{v}' is not a number"))?,
+            .map_err(|_| usage(format!("--cache-mb '{v}' is not a number")))?,
         None => 64,
     };
     let agg = opt(args, "agg");
     if let Some(a) = &agg {
         if !matches!(a.as_str(), "sum" | "mean" | "fro") {
-            return Err(format!("unknown --agg '{a}' (expected sum|mean|fro)"));
+            return Err(usage(format!(
+                "unknown --agg '{a}' (expected sum|mean|fro)"
+            )));
         }
     }
     let verify = args.iter().any(|a| a == "--verify");
@@ -544,7 +515,11 @@ fn try_query(args: &[String]) -> Result<(), String> {
     let json = match format.as_str() {
         "json" => true,
         "text" => false,
-        other => return Err(format!("unknown --format '{other}' (expected text|json)")),
+        other => {
+            return Err(usage(format!(
+                "unknown --format '{other}' (expected text|json)"
+            )))
+        }
     };
     let at = opt(args, "at");
     let range = opt(args, "range");
@@ -555,7 +530,7 @@ fn try_query(args: &[String]) -> Result<(), String> {
         .count()
         != 1
     {
-        return Err("exactly one of --at / --range / --stdin is required".into());
+        return Err(usage("exactly one of --at / --range / --stdin is required"));
     }
 
     let mut engine = QueryEngine::open_with_cache_bytes(&decomp_path, cache_mb << 20)
@@ -631,7 +606,7 @@ fn try_query(args: &[String]) -> Result<(), String> {
         None => {
             let out_path = opt(args, "out");
             if out_path.is_some() && ranges.len() != 1 {
-                return Err("--out requires exactly one query".into());
+                return Err(usage("--out requires exactly one query"));
             }
             let results = engine.query_batch(&ranges).map_err(|e| e.to_string())?;
             for ((spec, r), t) in specs.iter().zip(&ranges).zip(&results) {
@@ -711,11 +686,13 @@ fn try_query(args: &[String]) -> Result<(), String> {
 /// Lists a store directory's artifacts. Warnings about unreadable or
 /// foreign `.dts` files go to stderr so `--format json` stdout stays a
 /// clean document for pipelines.
-fn try_list(args: &[String]) -> Result<(), String> {
-    let dir = opt(args, "store").ok_or("--store is required")?;
+fn cmd_list(args: &[String]) -> Result<(), Failure> {
+    let dir = opt(args, "store").ok_or_else(|| usage("--store is required"))?;
     let format = opt(args, "format").unwrap_or_else(|| "text".into());
     if format != "text" && format != "json" {
-        return Err(format!("unknown --format '{format}' (expected text|json)"));
+        return Err(usage(format!(
+            "unknown --format '{format}' (expected text|json)"
+        )));
     }
     let store = ArtifactStore::open(&dir).map_err(|e| e.to_string())?;
     let (artifacts, skipped) = store.scan().map_err(|e| e.to_string())?;
@@ -747,17 +724,10 @@ fn try_list(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_list(args: &[String]) -> ExitCode {
-    match try_list(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
-}
-
 /// Starts the HTTP server over every Tucker decomposition in a store.
 /// Blocks until drained via `POST /shutdown`.
-fn try_serve(args: &[String]) -> Result<(), String> {
-    let dir = opt(args, "store").ok_or("--store is required")?;
+fn cmd_serve(args: &[String]) -> Result<(), Failure> {
+    let dir = opt(args, "store").ok_or_else(|| usage("--store is required"))?;
     let mut cfg = ServeConfig::default();
     if let Some(addr) = opt(args, "addr") {
         cfg.addr = addr;
@@ -765,18 +735,18 @@ fn try_serve(args: &[String]) -> Result<(), String> {
     if let Some(v) = opt(args, "threads") {
         cfg.threads = v
             .parse()
-            .map_err(|_| format!("--threads '{v}' is not a number"))?;
+            .map_err(|_| usage(format!("--threads '{v}' is not a number")))?;
     }
     if let Some(v) = opt(args, "cache-mb") {
         let mb: usize = v
             .parse()
-            .map_err(|_| format!("--cache-mb '{v}' is not a number"))?;
+            .map_err(|_| usage(format!("--cache-mb '{v}' is not a number")))?;
         cfg.cache_bytes = mb << 20;
     }
     if let Some(v) = opt(args, "max-inflight") {
         cfg.max_inflight = v
             .parse()
-            .map_err(|_| format!("--max-inflight '{v}' is not a number"))?;
+            .map_err(|_| usage(format!("--max-inflight '{v}' is not a number")))?;
     }
 
     let store = ArtifactStore::open(&dir).map_err(|e| e.to_string())?;
@@ -805,13 +775,6 @@ fn try_serve(args: &[String]) -> Result<(), String> {
         stats.connections, stats.requests, stats.shed
     );
     Ok(())
-}
-
-fn cmd_serve(args: &[String]) -> ExitCode {
-    match try_serve(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
 }
 
 #[cfg(test)]
@@ -851,10 +814,10 @@ mod tests {
         let out = std::env::temp_dir().join("dtucker_cli_tests/never_written.dten");
         let o = out.to_str().unwrap();
         // Missing --out.
-        assert!(try_reconstruct(&argv(&["reconstruct", "--decomp", p])).is_err());
+        assert!(cmd_reconstruct(&argv(&["reconstruct", "--decomp", p])).is_err());
         // Neither / both sources.
-        assert!(try_reconstruct(&argv(&["reconstruct", "--out", o])).is_err());
-        assert!(try_reconstruct(&argv(&[
+        assert!(cmd_reconstruct(&argv(&["reconstruct", "--out", o])).is_err());
+        assert!(cmd_reconstruct(&argv(&[
             "reconstruct",
             "--decomp",
             p,
@@ -865,7 +828,7 @@ mod tests {
         ]))
         .is_err());
         // Out-of-bounds and malformed ranges: typed errors, no artifact.
-        let e = try_reconstruct(&argv(&[
+        let e = cmd_reconstruct(&argv(&[
             "reconstruct",
             "--decomp",
             p,
@@ -874,9 +837,10 @@ mod tests {
             "--range",
             "0:99,:,:",
         ]))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(e.contains("exceeds"), "{e}");
-        let e = try_reconstruct(&argv(&[
+        let e = cmd_reconstruct(&argv(&[
             "reconstruct",
             "--decomp",
             p,
@@ -885,9 +849,10 @@ mod tests {
             "--range",
             "0:2,:",
         ]))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(e.contains("modes"), "{e}");
-        assert!(try_reconstruct(&argv(&[
+        assert!(cmd_reconstruct(&argv(&[
             "reconstruct",
             "--decomp",
             p,
@@ -910,7 +875,7 @@ mod tests {
             std::process::id()
         ));
         let o = out.to_str().unwrap();
-        try_reconstruct(&argv(&[
+        cmd_reconstruct(&argv(&[
             "reconstruct",
             "--decomp",
             p,
@@ -934,19 +899,19 @@ mod tests {
     fn query_rejects_bad_arguments() {
         let (path, _) = artifact("query_args");
         let p = path.to_str().unwrap();
-        assert!(try_query(&argv(&["query", "--at", "0,0,0"])).is_err());
+        assert!(cmd_query(&argv(&["query", "--at", "0,0,0"])).is_err());
         // Zero or two selectors.
-        assert!(try_query(&argv(&["query", "--decomp", p])).is_err());
-        assert!(try_query(&argv(&[
+        assert!(cmd_query(&argv(&["query", "--decomp", p])).is_err());
+        assert!(cmd_query(&argv(&[
             "query", "--decomp", p, "--at", "0,0,0", "--range", ":,:,:",
         ]))
         .is_err());
         // Bad aggregate, bad cache size, out-of-bounds element.
-        assert!(try_query(&argv(&[
+        assert!(cmd_query(&argv(&[
             "query", "--decomp", p, "--range", ":,:,:", "--agg", "median",
         ]))
         .is_err());
-        assert!(try_query(&argv(&[
+        assert!(cmd_query(&argv(&[
             "query",
             "--decomp",
             p,
@@ -956,10 +921,12 @@ mod tests {
             "lots",
         ]))
         .is_err());
-        let e = try_query(&argv(&["query", "--decomp", p, "--at", "6,0,0"])).unwrap_err();
+        let e = cmd_query(&argv(&["query", "--decomp", p, "--at", "6,0,0"]))
+            .unwrap_err()
+            .to_string();
         assert!(e.contains("exceeds"), "{e}");
         // Missing artifact surfaces the store error.
-        assert!(try_query(&argv(&[
+        assert!(cmd_query(&argv(&[
             "query",
             "--decomp",
             "/no/such.dts",
@@ -976,7 +943,7 @@ mod tests {
         let p = path.to_str().unwrap();
         // Element, range (+ --out), and aggregates, all under --verify so
         // every answer is checked against the naive oracle.
-        try_query(&argv(&[
+        cmd_query(&argv(&[
             "query", "--decomp", p, "--at", "3,2,1", "--verify",
         ]))
         .unwrap();
@@ -985,7 +952,7 @@ mod tests {
             std::process::id()
         ));
         let o = out.to_str().unwrap();
-        try_query(&argv(&[
+        cmd_query(&argv(&[
             "query",
             "--decomp",
             p,
@@ -1003,7 +970,7 @@ mod tests {
             assert!((a - b).abs() < 1e-9);
         }
         for agg in ["sum", "mean", "fro"] {
-            try_query(&argv(&[
+            cmd_query(&argv(&[
                 "query",
                 "--decomp",
                 p,

@@ -66,6 +66,82 @@ fn overflowing_dten_headers_are_format_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `save` writes exactly the documented `.dten` layout: `DTEN`, u32
+/// version 1, u32 order, u64 dims, then the little-endian f64 payload in
+/// Fortran order. `load` reads it back and rejects a payload one value
+/// short or one byte long with a format error.
+#[test]
+fn dten_files_have_the_documented_layout() {
+    let dir = std::env::temp_dir().join(format!("dtucker_dten_layout_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("x.dten");
+    // Element (i, j, k) of a 3×2×2 tensor is 100i + 10j + k + 0.5; Fortran
+    // order runs i fastest, then j, then k.
+    let x = dtucker_tensor::DenseTensor::from_fn(&[3, 2, 2], |ix| {
+        (100 * ix[0] + 10 * ix[1] + ix[2]) as f64 + 0.5
+    })
+    .unwrap();
+    io::save(&x, &path).unwrap();
+    let mut want = b"DTEN".to_vec();
+    want.extend_from_slice(&[1, 0, 0, 0, 3, 0, 0, 0]);
+    for d in [3u8, 2, 2] {
+        want.extend_from_slice(&[d, 0, 0, 0, 0, 0, 0, 0]);
+    }
+    for k in 0..2 {
+        for j in 0..2 {
+            for i in 0..3 {
+                let v = (100 * i + 10 * j + k) as f64 + 0.5;
+                want.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+    }
+    let written = std::fs::read(&path).unwrap();
+    assert_eq!(written, want);
+    assert_eq!(io::load(&path).unwrap(), x);
+
+    let short = &written[..written.len() - 8];
+    let mut long = written.clone();
+    long.push(0);
+    for bytes in [short, &long[..]] {
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(io::load(&path), Err(TensorError::Format(_))));
+        assert!(matches!(io::from_bytes(bytes), Err(TensorError::Format(_))));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The CLI prints its usage text after an argument error only: bad data
+/// (here a `.dten` whose element count overflows) gets the error line
+/// alone. Both exit with code 2.
+#[test]
+fn cli_prints_usage_only_for_argument_errors() {
+    let cli = env!("CARGO_BIN_EXE_dtucker-cli");
+    let dir = std::env::temp_dir().join(format!("dtucker_cli_usage_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("overflow.dten");
+    std::fs::write(&path, &crafted_dten()[0]).unwrap();
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), 28);
+    let run = |args: &[&std::ffi::OsStr]| {
+        let out = std::process::Command::new(cli).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        String::from_utf8(out.stderr).unwrap()
+    };
+
+    let err = run(&["info".as_ref(), "--input".as_ref(), path.as_os_str()]);
+    assert!(err.contains("overflows the element count"), "{err}");
+    assert!(!err.contains("usage:"), "{err}");
+
+    let err = run(&["frobnicate".as_ref()]);
+    assert!(err.contains("unknown subcommand"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
+    let err = run(&["info".as_ref()]);
+    assert!(
+        err.contains("--input is required") && err.contains("usage:"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn overflowing_sliced_shape_is_a_format_error() {
     // Shape [2, 2, 2⁶³, 2]: the trailing modes' slice count wraps to 0,
