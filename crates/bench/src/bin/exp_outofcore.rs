@@ -11,7 +11,7 @@
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--dataset NAME]
 //!         [--json PATH]`
 
-use dtucker_bench::{secs, time, Args, Table};
+use dtucker_bench::{bench_json, secs, time, Args, BenchHeader, Field, Table};
 use dtucker_core::{DTuckerConfig, SliceSource, SlicedTensor};
 use dtucker_data::{generate, parse_scale, Dataset, Scale};
 use dtucker_store::{encode_sliced, DtenSliceSource};
@@ -116,67 +116,34 @@ fn main() {
     table.print();
 
     let all_identical = runs.iter().all(|m| m.identical);
-    write_json(
-        &json_path,
-        ds.name(),
-        x.shape(),
-        rank,
+    let header = BenchHeader {
+        experiment: "e10_outofcore",
+        dataset: ds.name(),
+        shape: x.shape(),
+        rank: ("rank", Field::U64(rank as u64)),
         seed,
-        cores,
-        compressed,
-        dense_bytes,
-        &runs,
-    );
+        hardware_threads: cores,
+    };
+    let extra = [
+        ("dense_bytes", Field::U64(dense_bytes as u64)),
+        ("compressed_bytes", Field::U64(compressed as u64)),
+    ];
+    let rows: Vec<_> = runs
+        .iter()
+        .map(|m| {
+            vec![
+                ("chunk_slices", Field::U64(m.chunk as u64)),
+                ("compress_s", Field::F64(m.compress.as_secs_f64())),
+                ("peak_bytes", Field::U64(m.peak_bytes as u64)),
+                ("identical_to_inmemory", Field::Bool(m.identical)),
+            ]
+        })
+        .collect();
+    dtucker_core::fsutil::atomic_write_str(&json_path, &bench_json(&header, &extra, &rows))
+        .expect("writing BENCH_outofcore.json");
     println!("\nWrote {json_path}");
     println!("Expected shape: bit-identical output at every chunk size, with peak");
     println!("memory shrinking toward 'compressed + one chunk of slices'.");
     std::fs::remove_dir_all(&dir).ok();
     assert!(all_identical, "chunked compression diverged from in-memory");
-}
-
-/// Hand-rolled JSON (the offline crate set has no serde), matching the
-/// `BENCH_threads.json` top-level schema.
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    dataset: &str,
-    shape: &[usize],
-    rank: usize,
-    seed: u64,
-    cores: usize,
-    compressed_bytes: usize,
-    dense_bytes: usize,
-    runs: &[Measurement],
-) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"e10_outofcore\",\n");
-    s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
-    s.push_str(&format!(
-        "  \"shape\": [{}],\n",
-        shape
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str(&format!("  \"rank\": {rank},\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {cores},\n"));
-    s.push_str(&format!("  \"dense_bytes\": {dense_bytes},\n"));
-    s.push_str(&format!("  \"compressed_bytes\": {compressed_bytes},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, m) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"chunk_slices\": {}, \"compress_s\": {:.6}, \"peak_bytes\": {}, \
-             \"identical_to_inmemory\": {}}}{}\n",
-            m.chunk,
-            m.compress.as_secs_f64(),
-            m.peak_bytes,
-            m.identical,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    dtucker_core::fsutil::atomic_write_str(path, &s).expect("writing BENCH_outofcore.json");
 }

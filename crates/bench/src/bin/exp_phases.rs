@@ -48,13 +48,14 @@ fn main() {
             .decomposition
             .relative_error_sq(&x)
             .expect("error eval failed");
+        let phase = |name| out.timings.get(name).unwrap_or_default();
         table.row(&[
             ds.name().into(),
-            secs(out.timings.approximation),
-            secs(out.timings.initialization),
-            secs(out.timings.iteration),
+            secs(phase("core.approx")),
+            secs(phase("core.init")),
+            secs(phase("core.iterate")),
             sweeps.to_string(),
-            format!("{:.4}", out.timings.iteration.as_secs_f64() / sweeps as f64),
+            format!("{:.4}", phase("core.iterate").as_secs_f64() / sweeps as f64),
             secs(out.timings.total()),
             format!("{:.4}", err),
         ]);

@@ -13,7 +13,7 @@
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--dataset NAME]
 //!         [--queries Q] [--cache-mb MB] [--json PATH]`
 
-use dtucker_bench::{time, Args, Table};
+use dtucker_bench::{bench_json, time, Args, BenchHeader, Field, Table};
 use dtucker_core::{DTucker, DTuckerConfig};
 use dtucker_data::{generate, parse_scale, Dataset, Scale};
 use dtucker_query::{QueryEngine, Range};
@@ -186,17 +186,39 @@ fn main() {
     }
     table.print();
 
-    write_json(
-        &json_path,
-        ds.name(),
-        &shape,
-        d.ranks(),
+    let header = BenchHeader {
+        experiment: "e11_query",
+        dataset: ds.name(),
+        shape: &shape,
+        rank: ("ranks", Field::Sizes(d.ranks())),
         seed,
-        cores,
-        cache_mb,
-        naive_recon,
-        &runs,
-    );
+        hardware_threads: cores,
+    };
+    let extra = [
+        ("cache_mb", Field::U64(cache_mb as u64)),
+        ("naive_reconstruct_s", Field::F64(naive_recon.as_secs_f64())),
+    ];
+    let rows: Vec<_> = runs
+        .iter()
+        .map(|m| {
+            let cold = m.cold_avg.as_secs_f64();
+            let naive = m.naive_avg.as_secs_f64();
+            vec![
+                ("range", Field::Str(m.label)),
+                ("extents", Field::Sizes(&m.extents)),
+                ("numel", Field::U64(m.numel as u64)),
+                ("queries", Field::U64(m.queries as u64)),
+                ("cold_avg_s", Field::F64(cold)),
+                ("warm_avg_s", Field::F64(m.warm_avg.as_secs_f64())),
+                ("naive_avg_s", Field::F64(naive)),
+                ("speedup_cold", Field::F64(naive / cold.max(1e-12))),
+                ("cache_hit_rate", Field::F64(m.hit_rate)),
+                ("max_abs_err", Field::F64(m.max_err)),
+            ]
+        })
+        .collect();
+    dtucker_core::fsutil::atomic_write_str(&json_path, &bench_json(&header, &extra, &rows))
+        .expect("writing BENCH_query.json");
     println!("\nWrote {json_path}");
     println!("Expected shape: small-range latency orders of magnitude below the naive");
     println!("reconstruct-then-slice baseline, warm repeats cheaper than cold via the");
@@ -212,60 +234,4 @@ fn main() {
         smallest.cold_avg,
         naive_recon
     );
-}
-
-/// Hand-rolled JSON (the offline crate set has no serde), matching the
-/// other `BENCH_*.json` top-level schemas.
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    dataset: &str,
-    shape: &[usize],
-    ranks: &[usize],
-    seed: u64,
-    cores: usize,
-    cache_mb: usize,
-    naive_recon: Duration,
-    runs: &[Measurement],
-) {
-    let fmt_list = |v: &[usize]| {
-        v.iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"e11_query\",\n");
-    s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
-    s.push_str(&format!("  \"shape\": [{}],\n", fmt_list(shape)));
-    s.push_str(&format!("  \"ranks\": [{}],\n", fmt_list(ranks)));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {cores},\n"));
-    s.push_str(&format!("  \"cache_mb\": {cache_mb},\n"));
-    s.push_str(&format!(
-        "  \"naive_reconstruct_s\": {:.6},\n",
-        naive_recon.as_secs_f64()
-    ));
-    s.push_str("  \"runs\": [\n");
-    for (i, m) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"range\": \"{}\", \"extents\": [{}], \"numel\": {}, \"queries\": {}, \
-             \"cold_avg_s\": {:.9}, \"warm_avg_s\": {:.9}, \"naive_avg_s\": {:.9}, \
-             \"speedup_cold\": {:.3}, \"cache_hit_rate\": {:.4}, \"max_abs_err\": {:.3e}}}{}\n",
-            m.label,
-            fmt_list(&m.extents),
-            m.numel,
-            m.queries,
-            m.cold_avg.as_secs_f64(),
-            m.warm_avg.as_secs_f64(),
-            m.naive_avg.as_secs_f64(),
-            m.naive_avg.as_secs_f64() / m.cold_avg.as_secs_f64().max(1e-12),
-            m.hit_rate,
-            m.max_err,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    dtucker_core::fsutil::atomic_write_str(path, &s).expect("writing BENCH_query.json");
 }

@@ -17,7 +17,7 @@
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--dataset NAME]
 //!         [--clients N] [--duration-ms MS] [--json PATH]`
 
-use dtucker_bench::{Args, Table};
+use dtucker_bench::{bench_json, Args, BenchHeader, Field, Table};
 use dtucker_core::{DTucker, DTuckerConfig, TuckerDecomp};
 use dtucker_data::{generate, parse_scale, Dataset, Scale};
 use dtucker_serve::{ServeConfig, Server};
@@ -30,23 +30,12 @@ struct Measurement {
     max_inflight: usize,
     clients: usize,
     requests: u64,
-    per_client: Vec<u64>,
+    per_client: Vec<usize>,
     shed: u64,
     throughput_rps: f64,
     p50: Duration,
     p99: Duration,
     max: Duration,
-}
-
-impl Measurement {
-    /// Requests answered per client, joined by `sep`.
-    fn per_client(&self, sep: &str) -> String {
-        self.per_client
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(sep)
-    }
 }
 
 /// Reads one HTTP response frame (headers + Content-Length body) off a
@@ -169,7 +158,7 @@ fn run_combo(
     let mut shed = 0u64;
     for w in workers {
         let (l, s) = w.join().expect("client thread");
-        per_client.push(l.len() as u64);
+        per_client.push(l.len());
         latencies.extend(l);
         shed += s;
     }
@@ -280,7 +269,11 @@ fn main() {
             format!("{:.3}", m.p50.as_secs_f64() * 1e3),
             format!("{:.3}", m.p99.as_secs_f64() * 1e3),
             format!("{:.3}", m.max.as_secs_f64() * 1e3),
-            m.per_client("/"),
+            m.per_client
+                .iter()
+                .map(|n| n.to_string())
+                .collect::<Vec<_>>()
+                .join("/"),
             m.shed.to_string(),
             format!("{:.4}", m.shed as f64 / (m.requests + m.shed).max(1) as f64),
         ]);
@@ -288,17 +281,40 @@ fn main() {
     }
     table.print();
 
-    write_json(
-        &json_path,
-        ds.name(),
-        &shape,
-        d.ranks(),
+    let header = BenchHeader {
+        experiment: "e12_serve",
+        dataset: ds.name(),
+        shape: &shape,
+        rank: ("ranks", Field::Sizes(d.ranks())),
         seed,
-        cores,
-        clients,
-        window,
-        &runs,
-    );
+        hardware_threads: cores,
+    };
+    let extra = [
+        ("clients", Field::U64(clients as u64)),
+        ("window_s", Field::F64(window.as_secs_f64())),
+    ];
+    let ms = |t: Duration| Field::F64(t.as_secs_f64() * 1e3);
+    let rows: Vec<_> = runs
+        .iter()
+        .map(|m| {
+            let shed_rate = m.shed as f64 / (m.requests + m.shed).max(1) as f64;
+            vec![
+                ("threads", Field::U64(m.threads as u64)),
+                ("max_inflight", Field::U64(m.max_inflight as u64)),
+                ("clients", Field::U64(m.clients as u64)),
+                ("requests", Field::U64(m.requests)),
+                ("per_client_requests", Field::Sizes(&m.per_client)),
+                ("throughput_rps", Field::F64(m.throughput_rps)),
+                ("p50_ms", ms(m.p50)),
+                ("p99_ms", ms(m.p99)),
+                ("max_ms", ms(m.max)),
+                ("shed", Field::U64(m.shed)),
+                ("shed_rate", Field::F64(shed_rate)),
+            ]
+        })
+        .collect();
+    dtucker_core::fsutil::atomic_write_str(&json_path, &bench_json(&header, &extra, &rows))
+        .expect("writing BENCH_serve.json");
     println!("\nWrote {json_path}");
     println!("Expected shape: throughput flat or rising with threads (on multi-core");
     println!("hardware), every admitted client served about equally at every thread");
@@ -311,58 +327,4 @@ fn main() {
         runs.iter().all(|m| m.requests > 0),
         "every configuration must serve requests"
     );
-}
-
-/// Hand-rolled JSON (the offline crate set has no serde), matching the
-/// other `BENCH_*.json` top-level schemas.
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    dataset: &str,
-    shape: &[usize],
-    ranks: &[usize],
-    seed: u64,
-    cores: usize,
-    clients: usize,
-    window: Duration,
-    runs: &[Measurement],
-) {
-    let fmt_list = |v: &[usize]| {
-        v.iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"e12_serve\",\n");
-    s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
-    s.push_str(&format!("  \"shape\": [{}],\n", fmt_list(shape)));
-    s.push_str(&format!("  \"ranks\": [{}],\n", fmt_list(ranks)));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {cores},\n"));
-    s.push_str(&format!("  \"clients\": {clients},\n"));
-    s.push_str(&format!("  \"window_s\": {:.3},\n", window.as_secs_f64()));
-    s.push_str("  \"runs\": [\n");
-    for (i, m) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"threads\": {}, \"max_inflight\": {}, \"clients\": {}, \"requests\": {}, \
-             \"per_client_requests\": [{}], \"throughput_rps\": {:.1}, \"p50_ms\": {:.4}, \
-             \"p99_ms\": {:.4}, \"max_ms\": {:.4}, \"shed\": {}, \"shed_rate\": {:.4}}}{}\n",
-            m.threads,
-            m.max_inflight,
-            m.clients,
-            m.requests,
-            m.per_client(", "),
-            m.throughput_rps,
-            m.p50.as_secs_f64() * 1e3,
-            m.p99.as_secs_f64() * 1e3,
-            m.max.as_secs_f64() * 1e3,
-            m.shed,
-            m.shed as f64 / (m.requests + m.shed).max(1) as f64,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    dtucker_core::fsutil::atomic_write_str(path, &s).expect("writing BENCH_serve.json");
 }

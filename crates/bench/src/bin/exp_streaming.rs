@@ -9,7 +9,7 @@
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--steps K]
 //!         [--json PATH]`
 
-use dtucker_bench::{secs, time, Args, Table};
+use dtucker_bench::{bench_json, secs, time, Args, BenchHeader, Field, Table};
 use dtucker_core::{DTucker, DTuckerConfig, DTuckerStream};
 use dtucker_data::{generate, parse_scale, Dataset, Scale};
 
@@ -120,55 +120,35 @@ fn main() {
     }
     table.print();
 
-    write_json(&json_path, ds.name(), x.shape(), rank, seed, &runs);
+    let header = BenchHeader {
+        experiment: "e7_streaming",
+        dataset: ds.name(),
+        shape: x.shape(),
+        rank: ("rank", Field::U64(rank as u64)),
+        seed,
+        hardware_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    let rows: Vec<_> = runs
+        .iter()
+        .map(|m| {
+            vec![
+                ("append", Field::U64(m.append as u64)),
+                ("timesteps", Field::U64(m.timesteps as u64)),
+                ("stream_update_s", Field::F64(m.stream_update_s)),
+                ("stream_err", Field::F64(m.stream_err)),
+                ("batch_recompute_s", Field::F64(m.batch_recompute_s)),
+                ("batch_err", Field::F64(m.batch_err)),
+                (
+                    "speedup",
+                    Field::F64(m.batch_recompute_s / m.stream_update_s.max(1e-9)),
+                ),
+            ]
+        })
+        .collect();
+    dtucker_core::fsutil::atomic_write_str(&json_path, &bench_json(&header, &[], &rows))
+        .expect("writing BENCH_streaming.json");
     println!("\nWrote {json_path}");
     println!("Expected shape: streaming updates cost a small fraction of a batch");
     println!("recompute (only the new slices are compressed + a few warm sweeps) at");
     println!("near-identical error.");
-}
-
-/// Hand-rolled JSON (the offline crate set has no serde), matching the
-/// `BENCH_threads.json` top-level schema.
-fn write_json(
-    path: &str,
-    dataset: &str,
-    shape: &[usize],
-    rank: usize,
-    seed: u64,
-    runs: &[Measurement],
-) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"e7_streaming\",\n");
-    s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
-    s.push_str(&format!(
-        "  \"shape\": [{}],\n",
-        shape
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str(&format!("  \"rank\": {rank},\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {cores},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, m) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"append\": {}, \"timesteps\": {}, \"stream_update_s\": {:.6}, \
-             \"stream_err\": {:.6}, \"batch_recompute_s\": {:.6}, \"batch_err\": {:.6}, \
-             \"speedup\": {:.3}}}{}\n",
-            m.append,
-            m.timesteps,
-            m.stream_update_s,
-            m.stream_err,
-            m.batch_recompute_s,
-            m.batch_err,
-            m.batch_recompute_s / m.stream_update_s.max(1e-9),
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    dtucker_core::fsutil::atomic_write_str(path, &s).expect("writing BENCH_streaming.json");
 }

@@ -1,19 +1,18 @@
 //! Experiment E9 — thread scaling of the **whole** D-Tucker pipeline.
 //!
 //! All three phases fan their per-slice work out over the shared worker
-//! pool (`dtucker_linalg::pool`), so this sweep times approximation,
-//! initialization, and iteration separately at each thread count, checks
-//! that the final decomposition is bit-identical to the serial run, and
-//! writes the raw numbers to `BENCH_threads.json` at the repo root.
+//! pool (`dtucker_linalg::pool`), so this sweep runs `DTucker::decompose`
+//! at each thread count, reads approximation, initialization, and
+//! iteration time from its phase profile, checks that the final
+//! decomposition is bit-identical to the serial run, and writes the raw
+//! numbers to `BENCH_threads.json` at the repo root.
 //!
 //! Usage: `cargo run -p dtucker-bench --release --bin exp_threads --
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--dataset NAME]
 //!         [--max-threads T] [--json PATH]`
 
-use dtucker_bench::{secs, time, Args, Table};
-use dtucker_core::init::initialize_threaded;
-use dtucker_core::iterate::iterate;
-use dtucker_core::{DTuckerConfig, SlicedTensor};
+use dtucker_bench::{bench_json, secs, Args, BenchHeader, Field, Table};
+use dtucker_core::{DTucker, DTuckerConfig, SlicedTensor};
 use dtucker_data::{generate, parse_scale, Dataset, Scale};
 use std::time::Duration;
 
@@ -76,14 +75,10 @@ fn main() {
         let cfg = DTuckerConfig::uniform(rank, x.order())
             .with_seed(seed)
             .with_threads(t);
-        let (st, approx) = time(|| SlicedTensor::compress(&x, &cfg).expect("compression"));
-        let ranks_int: Vec<usize> = st.perm().iter().map(|&p| cfg.ranks[p]).collect();
-        let (init, init_t) =
-            time(|| initialize_threaded(&st, &ranks_int, t).expect("initialization"));
-        let (out, iter_t) = time(|| iterate(&st, &ranks_int, init.factors, &cfg).expect("sweeps"));
-
-        let mut bits: Vec<u64> = out.core.as_slice().iter().map(|v| v.to_bits()).collect();
-        for f in &out.factors {
+        let out = DTucker::new(cfg).decompose(&x).expect("decomposition");
+        let d = &out.decomposition;
+        let mut bits: Vec<u64> = d.core.as_slice().iter().map(|v| v.to_bits()).collect();
+        for f in &d.factors {
             bits.extend(f.as_slice().iter().map(|v| v.to_bits()));
         }
         let identical = match &serial_bits {
@@ -93,11 +88,12 @@ fn main() {
                 true
             }
         };
+        let phase = |name| out.timings.get(name).unwrap_or_default();
         runs.push(Measurement {
             threads: t,
-            approx,
-            init: init_t,
-            iter: iter_t,
+            approx: phase("core.approx"),
+            init: phase("core.init"),
+            iter: phase("core.iterate"),
             identical,
         });
         t *= 2;
@@ -120,7 +116,31 @@ fn main() {
     }
     table.print();
 
-    write_json(&json_path, ds.name(), x.shape(), rank, seed, cores, &runs);
+    let header = BenchHeader {
+        experiment: "e9_threads",
+        dataset: ds.name(),
+        shape: x.shape(),
+        rank: ("rank", Field::U64(rank as u64)),
+        seed,
+        hardware_threads: cores,
+    };
+    let rows: Vec<_> = runs
+        .iter()
+        .map(|m| {
+            let tot = total(m).as_secs_f64();
+            vec![
+                ("threads", Field::U64(m.threads as u64)),
+                ("approx_s", Field::F64(m.approx.as_secs_f64())),
+                ("init_s", Field::F64(m.init.as_secs_f64())),
+                ("iter_s", Field::F64(m.iter.as_secs_f64())),
+                ("total_s", Field::F64(tot)),
+                ("speedup", Field::F64(total0.as_secs_f64() / tot.max(1e-9))),
+                ("identical_to_serial", Field::Bool(m.identical)),
+            ]
+        })
+        .collect();
+    dtucker_core::fsutil::atomic_write_str(&json_path, &bench_json(&header, &[], &rows))
+        .expect("writing BENCH_threads.json");
     println!("\nWrote {json_path}");
     println!("Expected shape: near-linear speedup until the core count is exhausted,");
     println!("with a bit-identical decomposition at every thread count.");
@@ -128,50 +148,4 @@ fn main() {
 
 fn total(m: &Measurement) -> Duration {
     m.approx + m.init + m.iter
-}
-
-/// Hand-rolled JSON (the offline crate set has no serde).
-fn write_json(
-    path: &str,
-    dataset: &str,
-    shape: &[usize],
-    rank: usize,
-    seed: u64,
-    cores: usize,
-    runs: &[Measurement],
-) {
-    let total0 = total(&runs[0]).as_secs_f64();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"e9_threads\",\n");
-    s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
-    s.push_str(&format!(
-        "  \"shape\": [{}],\n",
-        shape
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str(&format!("  \"rank\": {rank},\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {cores},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, m) in runs.iter().enumerate() {
-        let tot = total(m).as_secs_f64();
-        s.push_str(&format!(
-            "    {{\"threads\": {}, \"approx_s\": {:.6}, \"init_s\": {:.6}, \"iter_s\": {:.6}, \
-             \"total_s\": {:.6}, \"speedup\": {:.3}, \"identical_to_serial\": {}}}{}\n",
-            m.threads,
-            m.approx.as_secs_f64(),
-            m.init.as_secs_f64(),
-            m.iter.as_secs_f64(),
-            tot,
-            total0 / tot.max(1e-9),
-            m.identical,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    dtucker_core::fsutil::atomic_write_str(path, &s).expect("writing BENCH_threads.json");
 }

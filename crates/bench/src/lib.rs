@@ -13,6 +13,7 @@ use dtucker_baselines::{
     TuckerTsConfig,
 };
 use dtucker_core::error::Result;
+use dtucker_core::json::JsonWriter;
 use dtucker_core::tucker::TuckerDecomp;
 use dtucker_core::{DTucker, DTuckerConfig, SliceSvdKind};
 use dtucker_tensor::dense::DenseTensor;
@@ -303,6 +304,98 @@ impl Table {
     }
 }
 
+/// One value of a `BENCH_*.json` document.
+#[derive(Debug, Clone, Copy)]
+pub enum Field<'a> {
+    /// A measurement (`null` when not finite: JSON has no NaN/∞).
+    F64(f64),
+    /// A count.
+    U64(u64),
+    /// A flag.
+    Bool(bool),
+    /// A label.
+    Str(&'a str),
+    /// A shape, rank list or per-client count list.
+    Sizes(&'a [usize]),
+}
+
+impl Field<'_> {
+    fn write(self, w: &mut JsonWriter) {
+        match self {
+            Field::F64(v) => w.number_f64(v),
+            Field::U64(v) => w.number_u64(v),
+            Field::Bool(v) => w.boolean(v),
+            Field::Str(v) => w.string(v),
+            Field::Sizes(v) => {
+                w.begin_array();
+                for &d in v {
+                    w.number_u64(d as u64);
+                }
+                w.end_array();
+            }
+        }
+    }
+}
+
+/// The header every `BENCH_*.json` document opens with.
+#[derive(Debug, Clone, Copy)]
+pub struct BenchHeader<'a> {
+    /// Experiment id, e.g. `e9_threads`.
+    pub experiment: &'a str,
+    /// Dataset name.
+    pub dataset: &'a str,
+    /// Tensor shape.
+    pub shape: &'a [usize],
+    /// `("rank", Field::U64(j))` for a uniform rank, or
+    /// `("ranks", Field::Sizes(..))` for one rank per mode.
+    pub rank: (&'a str, Field<'a>),
+    /// Seed of the dataset and the decomposition.
+    pub seed: u64,
+    /// Hardware threads of the host that ran the experiment.
+    pub hardware_threads: usize,
+}
+
+/// One `BENCH_*.json` document: `header`'s `experiment`, `dataset`,
+/// `shape`, rank, `seed` and `hardware_threads`, then the
+/// experiment's own `extra` fields, then `runs`, one object per run, all
+/// in the order given.
+pub fn bench_json(
+    header: &BenchHeader<'_>,
+    extra: &[(&str, Field<'_>)],
+    runs: &[Vec<(&str, Field<'_>)>],
+) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    let head = [
+        ("experiment", Field::Str(header.experiment)),
+        ("dataset", Field::Str(header.dataset)),
+        ("shape", Field::Sizes(header.shape)),
+        header.rank,
+        ("seed", Field::U64(header.seed)),
+        (
+            "hardware_threads",
+            Field::U64(header.hardware_threads as u64),
+        ),
+    ];
+    for &(key, value) in head.iter().chain(extra) {
+        w.key(key);
+        value.write(&mut w);
+    }
+    w.key("runs");
+    w.begin_array();
+    for run in runs {
+        w.begin_object();
+        for &(key, value) in run {
+            w.key(key);
+            value.write(&mut w);
+        }
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    w.finish()
+}
+
 /// Formats a duration in seconds with 3 decimals.
 pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
@@ -371,6 +464,45 @@ mod tests {
         assert_eq!(human_bytes(512), "512.0 B");
         assert_eq!(human_bytes(2048), "2.0 KiB");
         assert_eq!(human_bytes(3 * 1024 * 1024), "3.0 MiB");
+    }
+
+    #[test]
+    fn bench_json_writes_header_extras_and_runs_in_order() {
+        let header = BenchHeader {
+            experiment: "e0_demo",
+            dataset: "boats \"ci\"",
+            shape: &[4, 3, 2],
+            rank: ("ranks", Field::Sizes(&[2, 2, 1])),
+            seed: 7,
+            hardware_threads: 2,
+        };
+        let runs = vec![
+            vec![
+                ("threads", Field::U64(1)),
+                ("total_s", Field::F64(0.25)),
+                ("speedup", Field::F64(f64::NAN)),
+                ("identical", Field::Bool(true)),
+            ],
+            vec![
+                ("threads", Field::U64(2)),
+                ("total_s", Field::F64(f64::INFINITY)),
+            ],
+        ];
+        let doc = bench_json(&header, &[("window_s", Field::F64(1.5))], &runs);
+        assert_eq!(
+            doc,
+            "{\"experiment\":\"e0_demo\",\"dataset\":\"boats \\\"ci\\\"\",\
+             \"shape\":[4,3,2],\"ranks\":[2,2,1],\"seed\":7,\"hardware_threads\":2,\
+             \"window_s\":1.5,\"runs\":[\
+             {\"threads\":1,\"total_s\":0.25,\"speedup\":null,\"identical\":true},\
+             {\"threads\":2,\"total_s\":null}]}"
+        );
+        let scalar_rank = BenchHeader {
+            rank: ("rank", Field::U64(5)),
+            ..header
+        };
+        assert!(bench_json(&scalar_rank, &[], &[])
+            .ends_with("\"rank\":5,\"seed\":7,\"hardware_threads\":2,\"runs\":[]}"));
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::config::DTuckerConfig;
 use crate::error::{CoreError, Result};
 use crate::init::initialize_threaded;
 use crate::iterate::{iterate_from, SweepHook, SweepState};
+use crate::profile::PhaseProfile;
 use crate::slices::SlicedTensor;
 use crate::trace::ConvergenceTrace;
 use crate::tucker::TuckerDecomp;
@@ -14,26 +15,7 @@ use dtucker_tensor::dense::DenseTensor;
 use dtucker_tensor::unfold::{inverse_permutation, permute};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
-
-/// Wall-clock time spent in each phase.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTimings {
-    /// Approximation phase (slice compression). Zero when a pre-compressed
-    /// tensor was supplied.
-    pub approximation: Duration,
-    /// Initialization phase.
-    pub initialization: Duration,
-    /// Iteration phase (all ALS sweeps).
-    pub iteration: Duration,
-}
-
-impl PhaseTimings {
-    /// Total wall-clock time.
-    pub fn total(&self) -> Duration {
-        self.approximation + self.initialization + self.iteration
-    }
-}
+use std::time::Instant;
 
 /// How the iteration phase is seeded (ablation hook for the convergence
 /// experiment).
@@ -52,8 +34,9 @@ pub struct DTuckerOutput {
     pub decomposition: TuckerDecomp,
     /// Convergence record of the iteration phase.
     pub trace: ConvergenceTrace,
-    /// Per-phase wall-clock timings.
-    pub timings: PhaseTimings,
+    /// Per-phase wall clock: `core.approx` (absent when a pre-compressed
+    /// tensor was supplied), `core.init` and `core.iterate`, in that order.
+    pub timings: PhaseProfile,
     /// The compressed representation (reusable for further runs at other
     /// ranks ≤ slice rank, and for memory accounting).
     pub sliced: SlicedTensor,
@@ -104,27 +87,18 @@ impl DTucker {
                 details: "input tensor contains non-finite entries".into(),
             });
         }
+        let mut timings = PhaseProfile::new();
         let t0 = Instant::now();
         let sliced = SlicedTensor::compress(x, &self.cfg)?;
-        let approximation = t0.elapsed();
-        let mut out = self.run(sliced, Start::Init(strategy), &mut |_| Ok(()))?;
-        out.timings.approximation = approximation;
-        Ok(out)
+        timings.record("core.approx", t0.elapsed());
+        self.run(sliced, Start::Init(strategy), timings, &mut |_| Ok(()))
     }
 
     /// Runs the initialization and iteration phases on a pre-compressed
-    /// tensor (the approximation phase is reported as zero time).
+    /// tensor (the profile has no `core.approx` phase).
     pub fn decompose_sliced(&self, sliced: &SlicedTensor) -> Result<DTuckerOutput> {
-        self.decompose_sliced_with_init(sliced, InitStrategy::DTucker)
-    }
-
-    /// [`Self::decompose_sliced`] with an explicit initialization strategy.
-    pub fn decompose_sliced_with_init(
-        &self,
-        sliced: &SlicedTensor,
-        strategy: InitStrategy,
-    ) -> Result<DTuckerOutput> {
-        self.run(sliced.clone(), Start::Init(strategy), &mut |_| Ok(()))
+        let start = Start::Init(InitStrategy::DTucker);
+        self.run(sliced.clone(), start, PhaseProfile::new(), &mut |_| Ok(()))
     }
 
     /// Checkpointable variant of [`Self::decompose_sliced`]: the iteration
@@ -140,16 +114,18 @@ impl DTucker {
         on_sweep: &mut SweepHook<'_>,
     ) -> Result<DTuckerOutput> {
         let start = resume.map_or(Start::Init(InitStrategy::DTucker), Start::Resume);
-        self.run(sliced.clone(), start, on_sweep)
+        self.run(sliced.clone(), start, PhaseProfile::new(), on_sweep)
     }
 
     /// Initialization (or resume-state check) and iteration on a
     /// pre-compressed tensor, mapped back to the original mode order. The
-    /// output takes ownership of `sliced`.
+    /// output takes ownership of `sliced`, and `timings` gains the
+    /// `core.init` and `core.iterate` phases.
     fn run(
         &self,
         sliced: SlicedTensor,
         start: Start,
+        mut timings: PhaseProfile,
         on_sweep: &mut SweepHook<'_>,
     ) -> Result<DTuckerOutput> {
         let perm = sliced.perm().to_vec();
@@ -199,21 +175,17 @@ impl DTucker {
                 state
             }
         };
-        let initialization = t1.elapsed();
+        timings.record("core.init", t1.elapsed());
 
         let t2 = Instant::now();
         let iter_out = iterate_from(&sliced, &ranks_int, state, &self.cfg, on_sweep)?;
-        let iteration = t2.elapsed();
+        timings.record("core.iterate", t2.elapsed());
 
         let decomposition = internal_to_original(&perm, iter_out.factors, iter_out.core)?;
         Ok(DTuckerOutput {
             decomposition,
             trace: iter_out.trace,
-            timings: PhaseTimings {
-                approximation: Duration::ZERO,
-                initialization,
-                iteration,
-            },
+            timings,
             sliced,
         })
     }
@@ -370,8 +342,9 @@ mod tests {
         let cfg = DTuckerConfig::uniform(3, 3).with_seed(8);
         let sliced = crate::slices::SlicedTensor::compress(&x, &cfg).unwrap();
         let out = DTucker::new(cfg).decompose_sliced(&sliced).unwrap();
-        assert_eq!(out.timings.approximation, Duration::ZERO);
-        assert!(out.timings.initialization > Duration::ZERO);
+        let phases: Vec<(&str, u64)> = out.timings.phases().map(|(n, _, c)| (n, c)).collect();
+        assert_eq!(phases, [("core.init", 1), ("core.iterate", 1)]);
+        assert!(out.timings.get("core.approx").is_none());
         assert!(out.decomposition.relative_error_sq(&x).unwrap() < 0.05);
     }
 
@@ -528,8 +501,12 @@ mod tests {
         let out = DTucker::new(DTuckerConfig::uniform(2, 3))
             .decompose(&x)
             .unwrap();
-        assert!(out.timings.total() > Duration::ZERO);
-        assert!(out.timings.approximation > Duration::ZERO);
+        let phases: Vec<(&str, u64)> = out.timings.phases().map(|(n, _, c)| (n, c)).collect();
+        assert_eq!(
+            phases,
+            [("core.approx", 1), ("core.init", 1), ("core.iterate", 1)]
+        );
+        assert!(out.timings.total() > std::time::Duration::ZERO);
         assert!(out.trace.iterations() >= 1);
         assert!(out.sliced.num_slices() > 0);
     }

@@ -51,7 +51,10 @@ pub mod fsutil;
 pub mod init;
 /// Phase 3: HOOI-style iteration evaluated through the slice factors.
 pub mod iterate;
-/// Per-phase timing/error profiles and anomaly helpers.
+/// The workspace's one JSON writer.
+pub mod json;
+/// Per-phase timing profiles (`PhaseProfile`), error profiles and
+/// anomaly helpers.
 pub mod profile;
 /// Phase 1: frontal-slice randomized-SVD approximation.
 pub mod slices;
@@ -65,12 +68,12 @@ pub mod trace;
 pub mod tucker;
 
 pub use config::{DTuckerConfig, SliceSvdKind};
-pub use dtucker::{decompose_to_target_error, DTucker, DTuckerOutput, InitStrategy, PhaseTimings};
+pub use dtucker::{decompose_to_target_error, DTucker, DTuckerOutput, InitStrategy};
 pub use error::{CoreError, Result};
 pub use iterate::{SweepHook, SweepSnapshot, SweepState};
 pub use profile::{anomalous_indices, error_profile_last_mode, PhaseProfile};
 pub use slices::{SliceSvd, SlicedTensor};
-pub use source::{InMemorySource, SliceSource, SyntheticSource};
+pub use source::{InMemorySource, SliceSource};
 pub use streaming::DTuckerStream;
 pub use trace::ConvergenceTrace;
 pub use tucker::TuckerDecomp;

@@ -7,8 +7,10 @@
 //! materializing more than one hyperslab at a time beyond the full
 //! reconstruction.
 //!
-//! [`PhaseProfile`] is the query engine's phase-timing accumulator: it
-//! reports the plan/contract/cache split of every query.
+//! [`PhaseProfile`] is the workspace's one phase-timing type: it carries
+//! a decomposition's `core.approx`/`core.init`/`core.iterate` split, the
+//! query engine's plan/cache/contract split, and the server's
+//! `serve.handle` phase on `/metrics`.
 
 use crate::error::{CoreError, Result};
 use crate::tucker::TuckerDecomp;

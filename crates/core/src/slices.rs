@@ -559,17 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn compress_source_synthetic_matches_materialized() {
-        use crate::source::SyntheticSource;
-        let mut src = SyntheticSource::new(&[16, 12, 7], 3, 99).unwrap();
-        let x = src.materialize().unwrap();
-        let cfg = config(3, 3).with_chunk_slices(2);
-        let from_source = SlicedTensor::compress_source(&mut src, &cfg).unwrap();
-        let from_tensor = SlicedTensor::compress_with_perm(&x, &[0, 1, 2], &cfg).unwrap();
-        assert_bit_identical(&from_source, &from_tensor);
-    }
-
-    #[test]
     fn from_parts_round_trip_and_validation() {
         let mut rng = StdRng::seed_from_u64(31);
         let x = low_rank_plus_noise(&[12, 10, 4], &[2, 2, 2], 0.1, &mut rng).unwrap();

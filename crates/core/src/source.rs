@@ -7,15 +7,12 @@
 //! slices in bounded chunks and keeps only the compressed output. Peak
 //! memory is `O(I₁·I₂·chunk + compressed)` instead of `O(I₁·I₂·L)`.
 //!
-//! Two implementations live here:
-//!
-//! * [`InMemorySource`] — borrows a [`DenseTensor`] and gathers each
-//!   permuted slice from its original buffer through [`SliceGeometry`];
-//! * [`SyntheticSource`] — generates seeded low-rank slices on demand, so
-//!   benchmarks can exercise tensors far larger than RAM.
-//!
-//! The chunked on-disk reader over `.dten` files (`DtenSliceSource`) lives
-//! in the `dtucker-store` crate, which re-exports this trait.
+//! [`InMemorySource`](crate::source::InMemorySource) lives here: it
+//! borrows a `DenseTensor` and gathers each permuted slice from its
+//! original buffer through
+//! [`SliceGeometry`](crate::source::SliceGeometry). The chunked on-disk reader over `.dten` files
+//! (`DtenSliceSource`) lives in the `dtucker-store` crate, which
+//! re-exports this trait.
 //!
 //! ## Contract
 //!
@@ -37,16 +34,9 @@
 //! [`SlicedTensor::compress_source`]: crate::slices::SlicedTensor::compress_source
 
 use crate::error::{CoreError, Result};
-use crate::slices::slice_seed;
 use dtucker_linalg::matrix::Matrix;
-use dtucker_linalg::norms::FroNormAccumulator;
-use dtucker_linalg::qr::orthonormalize;
-use dtucker_linalg::random::gaussian_matrix;
-use dtucker_linalg::svd::scale_cols;
 use dtucker_tensor::dense::DenseTensor;
 use dtucker_tensor::unfold::{check_permutation, descending_mode_order};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// On-demand producer of frontal slices in internal (permuted) mode order.
 ///
@@ -220,126 +210,13 @@ impl SliceSource for InMemorySource<'_> {
     }
 }
 
-/// Seeded synthetic low-rank slice generator: slice `l` is
-/// `U diag(w_l) Vᵀ` with fixed orthonormal `U ∈ R^{I₁×r}`, `V ∈ R^{I₂×r}`
-/// and per-slice weights drawn from a seed derived from `(seed, l)`.
-///
-/// Memory is `O((I₁+I₂)·r)` no matter how many slices the virtual tensor
-/// has, so benchmarks can source tensors far larger than RAM. The modes are
-/// served in the given order (identity permutation).
-#[derive(Debug, Clone)]
-pub struct SyntheticSource {
-    shape: Vec<usize>,
-    perm: Vec<usize>,
-    u: Matrix,
-    v: Matrix,
-    rank: usize,
-    seed: u64,
-    norm_cache: Option<f64>,
-}
-
-impl SyntheticSource {
-    /// Creates a generator for the given (internal-order) shape and slice
-    /// rank.
-    pub fn new(shape: &[usize], rank: usize, seed: u64) -> Result<Self> {
-        if shape.len() < 2 {
-            return Err(CoreError::InvalidConfig {
-                details: "SyntheticSource requires order >= 2".into(),
-            });
-        }
-        if shape.contains(&0) {
-            return Err(CoreError::InvalidConfig {
-                details: format!("zero dimension in {shape:?}"),
-            });
-        }
-        if rank == 0 || rank > shape[0].min(shape[1]) {
-            return Err(CoreError::InvalidConfig {
-                details: format!(
-                    "slice rank {rank} invalid for leading dims {}x{}",
-                    shape[0], shape[1]
-                ),
-            });
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let u = orthonormalize(&gaussian_matrix(shape[0], rank, &mut rng));
-        let v = orthonormalize(&gaussian_matrix(shape[1], rank, &mut rng));
-        Ok(SyntheticSource {
-            shape: shape.to_vec(),
-            perm: (0..shape.len()).collect(),
-            u,
-            v,
-            rank,
-            seed,
-            norm_cache: None,
-        })
-    }
-
-    fn weights(&self, l: usize) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(slice_seed(self.seed ^ 0x5EED, l));
-        gaussian_matrix(self.rank, 1, &mut rng).into_vec()
-    }
-
-    fn build_slice(&self, l: usize) -> Matrix {
-        let w = self.weights(l);
-        dtucker_linalg::gemm::matmul_t(&scale_cols(&self.u, &w), &self.v)
-    }
-
-    /// Materializes the full tensor (test/verification helper — defeats the
-    /// point for large shapes).
-    pub fn materialize(&self) -> Result<DenseTensor> {
-        let mats: Vec<Matrix> = (0..self.num_slices())
-            .map(|l| self.build_slice(l))
-            .collect();
-        Ok(DenseTensor::from_frontal_slices(&self.shape, &mats)?)
-    }
-}
-
-impl SliceSource for SyntheticSource {
-    fn shape(&self) -> &[usize] {
-        &self.shape
-    }
-
-    fn perm(&self) -> &[usize] {
-        &self.perm
-    }
-
-    fn load_slice(&mut self, l: usize) -> Result<Matrix> {
-        if l >= self.num_slices() {
-            return Err(CoreError::InvalidConfig {
-                details: format!("slice {l} out of range (have {})", self.num_slices()),
-            });
-        }
-        Ok(self.build_slice(l))
-    }
-
-    fn fro_norm_sq(&mut self) -> Result<f64> {
-        if let Some(n) = self.norm_cache {
-            return Ok(n);
-        }
-        // Feed the accumulator in the Fortran element order of the
-        // materialized tensor (i₁ fastest, then i₂, then the slice index)
-        // so the result is bit-identical to materialize().fro_norm_sq().
-        let (i1, i2) = (self.shape[0], self.shape[1]);
-        let mut acc = FroNormAccumulator::new();
-        for l in 0..self.num_slices() {
-            let m = self.build_slice(l);
-            for c in 0..i2 {
-                for r in 0..i1 {
-                    acc.push(m.get(r, c));
-                }
-            }
-        }
-        let n = acc.norm_sq();
-        self.norm_cache = Some(n);
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dtucker_tensor::random::low_rank_plus_noise;
     use dtucker_tensor::unfold::permute;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn in_memory_source_matches_tensor() {
@@ -373,38 +250,5 @@ mod tests {
         for (i, m) in batch.iter().enumerate() {
             assert_eq!(*m, src.load_slice(1 + i).unwrap());
         }
-    }
-
-    #[test]
-    fn synthetic_source_is_deterministic_and_matches_materialization() {
-        let mut a = SyntheticSource::new(&[10, 8, 6], 3, 42).unwrap();
-        let mut b = SyntheticSource::new(&[10, 8, 6], 3, 42).unwrap();
-        for l in [0usize, 3, 5] {
-            assert_eq!(a.load_slice(l).unwrap(), b.load_slice(l).unwrap());
-        }
-        let x = a.materialize().unwrap();
-        assert_eq!(x.shape(), &[10, 8, 6]);
-        assert_eq!(
-            a.fro_norm_sq().unwrap().to_bits(),
-            x.fro_norm_sq().to_bits()
-        );
-        // Cache path returns the same value.
-        assert_eq!(
-            a.fro_norm_sq().unwrap().to_bits(),
-            x.fro_norm_sq().to_bits()
-        );
-        // Different seeds give different data.
-        let mut c = SyntheticSource::new(&[10, 8, 6], 3, 43).unwrap();
-        assert_ne!(c.load_slice(0).unwrap(), b.load_slice(0).unwrap());
-    }
-
-    #[test]
-    fn synthetic_source_validates() {
-        assert!(SyntheticSource::new(&[5], 1, 0).is_err());
-        assert!(SyntheticSource::new(&[5, 0, 2], 1, 0).is_err());
-        assert!(SyntheticSource::new(&[5, 4, 2], 0, 0).is_err());
-        assert!(SyntheticSource::new(&[5, 4, 2], 5, 0).is_err());
-        let mut s = SyntheticSource::new(&[5, 4, 2], 2, 0).unwrap();
-        assert!(s.load_slice(2).is_err());
     }
 }

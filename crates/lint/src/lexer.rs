@@ -59,15 +59,6 @@ impl Token {
             TokKind::LineComment { .. } | TokKind::BlockComment { .. }
         )
     }
-
-    /// True if this token is a doc comment (`///`, `//!`, `/** */`,
-    /// `/*! */`).
-    pub fn is_doc_comment(&self) -> bool {
-        matches!(
-            self.kind,
-            TokKind::LineComment { doc: true } | TokKind::BlockComment { doc: true }
-        )
-    }
 }
 
 /// Multi-character operators, longest first so lexing is greedy.

@@ -6,6 +6,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use dtucker_core::json::JsonWriter;
+
 use crate::model::SourceFile;
 use crate::rules::{check_file, Diagnostic, RULES};
 
@@ -81,60 +83,47 @@ impl Report {
     /// `"diagnostics":[{rule,path,line,col,message}],`
     /// `"suppressed":[{rule,path,line}]}`.
     pub fn render_json(&self) -> String {
-        let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"version\":1,\"files_scanned\":{},\"clean\":{},\"diagnostics\":[",
-            self.files_scanned,
-            self.is_clean()
-        );
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
-                esc(d.rule),
-                esc(&d.path),
-                d.line,
-                d.col,
-                esc(&d.message)
-            );
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("version");
+        w.number_u64(1);
+        w.key("files_scanned");
+        w.number_u64(self.files_scanned as u64);
+        w.key("clean");
+        w.boolean(self.is_clean());
+        w.key("diagnostics");
+        w.begin_array();
+        for d in &self.diagnostics {
+            w.begin_object();
+            w.key("rule");
+            w.string(d.rule);
+            w.key("path");
+            w.string(&d.path);
+            w.key("line");
+            w.number_u64(u64::from(d.line));
+            w.key("col");
+            w.number_u64(u64::from(d.col));
+            w.key("message");
+            w.string(&d.message);
+            w.end_object();
         }
-        s.push_str("],\"suppressed\":[");
-        for (i, u) in self.suppressed.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{}}}",
-                esc(u.rule),
-                esc(&u.path),
-                u.line
-            );
+        w.end_array();
+        w.key("suppressed");
+        w.begin_array();
+        for u in &self.suppressed {
+            w.begin_object();
+            w.key("rule");
+            w.string(u.rule);
+            w.key("path");
+            w.string(&u.path);
+            w.key("line");
+            w.number_u64(u64::from(u.line));
+            w.end_object();
         }
-        s.push_str("]}");
-        s
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
-}
-
-fn esc(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Collects every `.rs` file under `root` (sorted, relative paths with `/`

@@ -3,7 +3,8 @@
 //! honored, and the JSON rendering is well-formed.
 
 use dtucker_lint::rules::RULES;
-use dtucker_lint::runner::check;
+use dtucker_lint::runner::{check, UsedSuppression};
+use dtucker_lint::{Diagnostic, Report};
 use std::path::{Path, PathBuf};
 
 fn fixture_root() -> PathBuf {
@@ -111,4 +112,31 @@ fn json_report_is_well_formed() {
     assert!(json.contains("no-unchecked-index-in-kernels"));
     // Paths must be forward-slash relative, never absolute.
     assert!(!json.contains(fixture_root().to_string_lossy().as_ref()));
+}
+
+#[test]
+fn json_report_escapes_every_string() {
+    let report = Report {
+        root: PathBuf::from("."),
+        files_scanned: 2,
+        diagnostics: vec![Diagnostic {
+            rule: "no-unwrap-in-lib",
+            path: "src/a \"b\".rs".into(),
+            line: 3,
+            col: 9,
+            message: "say \"no\" to C:\\tmp\nthen\r\u{1}".into(),
+        }],
+        suppressed: vec![UsedSuppression {
+            path: "src\\c.rs".into(),
+            line: 7,
+            rule: "float-eq",
+        }],
+    };
+    assert_eq!(
+        report.render_json(),
+        "{\"version\":1,\"files_scanned\":2,\"clean\":false,\"diagnostics\":[\
+         {\"rule\":\"no-unwrap-in-lib\",\"path\":\"src/a \\\"b\\\".rs\",\"line\":3,\"col\":9,\
+         \"message\":\"say \\\"no\\\" to C:\\\\tmp\\nthen\\r\\u0001\"}],\
+         \"suppressed\":[{\"rule\":\"float-eq\",\"path\":\"src\\\\c.rs\",\"line\":7}]}"
+    );
 }

@@ -9,9 +9,11 @@
 //!
 //! Engine-side observability (cache hit/miss/eviction counters, per-phase
 //! plan/contract/cache timings) lives in the query crate; the renderer
-//! here takes those readings as arguments and folds the server's own
-//! handler timings into the same [`PhaseProfile`] currency via
-//! [`PhaseProfile::record_n`].
+//! here takes those readings as arguments and folds the latency
+//! histogram's sum and count into the same
+//! [`PhaseProfile`](dtucker_core::PhaseProfile) currency as the
+//! `serve.handle` phase via
+//! [`PhaseProfile::record_n`](dtucker_core::PhaseProfile::record_n).
 
 use dtucker_core::PhaseProfile;
 use dtucker_query::CacheStats;
@@ -81,8 +83,6 @@ pub struct Metrics {
     queue_depth: AtomicU64,
     inflight: AtomicU64,
     idle: AtomicU64,
-    handler_nanos: AtomicU64,
-    handler_count: AtomicU64,
 }
 
 impl Metrics {
@@ -98,11 +98,6 @@ impl Metrics {
         *map.entry((route.to_string(), status)).or_insert(0) += 1;
         drop(map);
         self.latency.observe(elapsed);
-        self.handler_nanos.fetch_add(
-            elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-        self.handler_count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one connection turned away with `503`.
@@ -156,27 +151,17 @@ impl Metrics {
         self.connections_total.load(Ordering::Relaxed)
     }
 
-    /// The server's own handler time as a [`PhaseProfile`] phase, for
-    /// merging with the engines' plan/contract/cache phases.
-    pub fn handler_profile(&self) -> PhaseProfile {
-        let mut p = PhaseProfile::new();
-        p.record_n(
-            "serve.handle",
-            Duration::from_nanos(self.handler_nanos.load(Ordering::Relaxed)),
-            self.handler_count.load(Ordering::Relaxed),
-        );
-        p
-    }
-
     /// Renders the Prometheus text exposition. `artifacts` supplies the
     /// per-artifact cache readings and `engine_profile` the merged
-    /// per-phase engine timings (the handler phase is appended
-    /// automatically).
+    /// per-phase engine timings (the `serve.handle` phase, read from the
+    /// latency histogram, is appended automatically).
     pub fn render_prometheus(
         &self,
         artifacts: &[ArtifactReading],
         engine_profile: &PhaseProfile,
     ) -> String {
+        let handle_total = Duration::from_nanos(self.latency.sum_nanos.load(Ordering::Relaxed));
+        let handle_count = self.latency.count.load(Ordering::Relaxed);
         let mut out = String::new();
 
         out.push_str("# HELP dtucker_requests_total Requests served, by route and status.\n");
@@ -202,12 +187,9 @@ impl Metrics {
         ));
         out.push_str(&format!(
             "dtucker_request_seconds_sum {}\n",
-            self.latency.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
+            handle_total.as_secs_f64()
         ));
-        out.push_str(&format!(
-            "dtucker_request_seconds_count {}\n",
-            self.latency.count.load(Ordering::Relaxed)
-        ));
+        out.push_str(&format!("dtucker_request_seconds_count {handle_count}\n"));
 
         out.push_str("# HELP dtucker_shed_total Connections turned away with 503.\n");
         out.push_str("# TYPE dtucker_shed_total counter\n");
@@ -274,7 +256,7 @@ impl Metrics {
         }
 
         let mut profile = engine_profile.clone();
-        profile.merge(&self.handler_profile());
+        profile.record_n("serve.handle", handle_total, handle_count);
         out.push_str("# HELP dtucker_phase_seconds_total Accumulated per-phase wall clock.\n");
         out.push_str("# TYPE dtucker_phase_seconds_total counter\n");
         for (name, d, count) in profile.phases() {
@@ -342,6 +324,30 @@ mod tests {
         m.connection_finished(); // extra call saturates at zero
         let text = m.render_prometheus(&[], &PhaseProfile::new());
         assert!(text.contains("dtucker_inflight_connections 0\n"));
+    }
+
+    #[test]
+    fn handle_phase_is_the_latency_histogram() {
+        let m = Metrics::new();
+        for micros in [123, 4_567, 89_012, 1_000_001] {
+            m.record_request("q_range", 200, Duration::from_nanos(micros * 1_000 + 7));
+        }
+        let text = m.render_prometheus(&[], &PhaseProfile::new());
+        let value = |prefix: &str| {
+            let line = text.lines().find(|l| l.starts_with(prefix)).unwrap();
+            line[prefix.len()..].to_string()
+        };
+        let sum = value("dtucker_request_seconds_sum ");
+        assert_eq!(sum, "1.093703028");
+        assert_eq!(
+            value("dtucker_phase_seconds_total{phase=\"serve.handle\"} "),
+            sum
+        );
+        assert_eq!(value("dtucker_request_seconds_count "), "4");
+        assert_eq!(
+            value("dtucker_phase_calls_total{phase=\"serve.handle\"} "),
+            "4"
+        );
     }
 
     #[test]

@@ -62,4 +62,4 @@ pub use store::{
 
 // Re-export the sourcing trait and in-core implementations so users of this
 // crate see the whole out-of-core story in one place.
-pub use dtucker_core::source::{InMemorySource, SliceSource, SyntheticSource};
+pub use dtucker_core::source::{InMemorySource, SliceSource};

@@ -154,10 +154,13 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<()> {
     })
 }
 
-/// Writes `bytes` to `path` **atomically**: the data goes to a freshly
-/// named temporary file in the same directory, is flushed and fsynced,
-/// then renamed over the destination. A crash mid-write leaves either the
-/// old file or nothing — never a torn artifact. All dtucker file writers
+/// Writes `bytes` to `path` **atomically** and durably: the data goes to a
+/// freshly named temporary file in the same directory, is flushed and
+/// fsynced, then renamed over the destination, and the directory (`.` for
+/// a bare file name) is fsynced so the rename itself survives a crash. A
+/// crash mid-write leaves either the old file or nothing — never a torn
+/// artifact; once this returns `Ok`, the new file is on disk. Any error,
+/// including from the directory fsync, is returned. All dtucker file writers
 /// (`.dten` tensors and the `dtucker-store` artifact formats) go through
 /// this helper or [`save`], which shares its body.
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
@@ -195,7 +198,8 @@ fn atomic_write_with(
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
-    result
+    result?;
+    File::open(&dir)?.sync_all()
 }
 
 /// Writes a tensor to a file, streaming it into the atomic temp file (see
@@ -325,5 +329,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         // A destination without a file name errors instead of panicking.
         assert!(atomic_write("/", b"x").is_err());
+    }
+
+    #[test]
+    fn atomic_write_to_bare_and_nested_paths() {
+        // A bare relative name resolves against the working directory,
+        // whose fsync goes through `.`.
+        let bare = format!("dtucker_atomic_bare_{}.bin", std::process::id());
+        atomic_write(&bare, b"bare").unwrap();
+        assert_eq!(std::fs::read(&bare).unwrap(), b"bare");
+        std::fs::remove_file(&bare).unwrap();
+
+        let dir = std::env::temp_dir().join("dtucker_atomic_nested/a/b");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("artifact.bin");
+        atomic_write(&path, b"nested").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"nested");
+        save(&example(), &path).unwrap();
+        assert_eq!(load(&path).unwrap(), example());
+        std::fs::remove_dir_all(std::env::temp_dir().join("dtucker_atomic_nested")).ok();
     }
 }

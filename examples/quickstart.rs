@@ -43,16 +43,14 @@ fn main() {
         d.relative_error_sq(&x).expect("error evaluation")
     );
     println!(
-        "phases: approx {:.3}s | init {:.3}s | iter {:.3}s ({} sweeps{})",
-        out.timings.approximation.as_secs_f64(),
-        out.timings.initialization.as_secs_f64(),
-        out.timings.iteration.as_secs_f64(),
+        "phases ({} sweeps{}):\n{}",
         out.trace.iterations(),
         if out.trace.converged {
             ", converged"
         } else {
             ""
         },
+        out.timings.report(),
     );
     println!(
         "compressed representation: {:.1}x smaller than the raw tensor",

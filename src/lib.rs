@@ -38,7 +38,7 @@ pub use dtucker_tensor as tensor;
 pub use dtucker_core::{
     decompose_to_target_error, ConvergenceTrace, DTucker, DTuckerConfig, DTuckerOutput,
     DTuckerStream, InMemorySource, InitStrategy, SliceSource, SliceSvdKind, SlicedTensor,
-    SweepState, SyntheticSource, TuckerDecomp,
+    SweepState, TuckerDecomp,
 };
 pub use dtucker_linalg::Matrix;
 pub use dtucker_query::{QueryEngine, Range, SharedQueryEngine};
